@@ -18,8 +18,8 @@ i.e. a small constant times a cold evaluation. It is reported honestly
 as the trichotomy's worst case; sparse deletes (the common serving
 pattern) scale with the tainted cone instead.
 
-Claims measured: the maintained instance stays equal to a fresh
-evaluation after every batch; single-fact insert maintenance beats full
+Claims measured: the maintained instance stays equal to the reference
+engine's evaluation after every batch; single-fact insert maintenance beats full
 re-evaluation by a factor that grows with n (the acceptance bar is ≥20×
 at n=32 — compare E20 against E19's full-evaluation series in the
 BENCH_PR*.json trajectory); updates/sec is the serving-rate headline.
@@ -29,7 +29,7 @@ Run standalone:  python benchmarks/bench_ivm.py
 
 import pytest
 
-from repro.iql import Evaluator, MaterializedProgram
+from repro.iql import Evaluator, MaterializedProgram, ReferenceEvaluator
 from repro.values import OTuple
 
 from bench_scheduling import setup
@@ -46,7 +46,11 @@ def materialize(n):
 
 
 def run_full(program, instance):
-    return Evaluator(program, schedule=True, compile=True).run(instance.copy())
+    return Evaluator(program).run(instance.copy())
+
+
+def run_reference(program, instance):
+    return ReferenceEvaluator(program).run(instance.copy())
 
 
 def timed_updates(mp, n, repeats=5):
@@ -84,7 +88,7 @@ def test_maintained_equals_fresh(n):
     mp.apply_delta(inserts=[("E", chord(n))])
     fresh_input = instance.copy()
     fresh_input.add_relation_member("E", chord(n))
-    fresh = run_full(program, fresh_input)
+    fresh = run_reference(program, fresh_input)
     assert mp.instance.ground_facts() == fresh.full.ground_facts()
 
 
@@ -103,7 +107,7 @@ def main(sizes=None):
         mp.apply_delta(inserts=[("E", chord(n))])
         agree = (
             mp.instance.ground_facts()
-            == run_full(program, with_chord).full.ground_facts()
+            == run_reference(program, with_chord).full.ground_facts()
         )
         series[n] = t_insert
         rows.append(

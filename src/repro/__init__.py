@@ -57,6 +57,7 @@ from repro.iql import (
     EvaluatorLimits,
     Membership,
     Program,
+    ReferenceEvaluator,
     Rule,
     Var,
     atom,
@@ -93,6 +94,7 @@ __all__ = [
     "EvaluatorLimits",
     "Membership",
     "Program",
+    "ReferenceEvaluator",
     "Rule",
     "Var",
     "atom",

@@ -593,14 +593,13 @@ def compile_body(
     enumeration_budget: int = 100_000,
     plan_cache: Optional[Dict] = None,
     stats=None,
-    costed: bool = False,
     feedback: Optional[Dict] = None,
 ) -> CompiledBody:
     """Compile ``literals`` given ``initial_vars`` pre-bound, or raise
     :class:`CompileFallback`. Plans are shared with the interpreter through
     ``plan_cache`` (the owning rule's), so both engines agree on join
-    order; ``costed``/``feedback`` select the cost-based planner and its
-    replan observations exactly as in :func:`solve_body`."""
+    order; ``feedback`` carries the planner's replan observations exactly
+    as in :func:`solve_body`."""
     literals = tuple(lit for lit in literals if not isinstance(lit, Choose))
     plan = lookup_plan(
         literals,
@@ -609,7 +608,6 @@ def compile_body(
         use_indexes,
         plan_cache,
         stats,
-        costed,
         feedback,
     )
     layout = _Layout(initial_vars)
@@ -671,7 +669,6 @@ def compile_rule(
     use_indexes: bool = True,
     enumeration_budget: int = 100_000,
     stats=None,
-    costed: bool = False,
 ) -> CompiledRule:
     """Compile one rule for the naive one-step operator, or raise
     :class:`CompileFallback`."""
@@ -687,8 +684,7 @@ def compile_rule(
         enumeration_budget=enumeration_budget,
         plan_cache=rule.plan_cache,
         stats=stats,
-        costed=costed,
-        feedback=rule.feedback_cache if costed else None,
+        feedback=rule.feedback_cache,
     )
     layout = _Layout(())
     layout.slots = list(body.slot_vars)
@@ -926,12 +922,11 @@ def compile_seminaive(
     use_indexes: bool = True,
     enumeration_budget: int = 100_000,
     stats=None,
-    costed: bool = False,
 ) -> SeminaiveKernels:
     """Compile one semi-naive-eligible rule, or raise :class:`CompileFallback`."""
     head = rule.head
     assert isinstance(head, Membership)  # guaranteed by rule_eligible
-    feedback = rule.feedback_cache if costed else None
+    feedback = rule.feedback_cache
     full = compile_body(
         rule.body,
         (),
@@ -940,7 +935,6 @@ def compile_seminaive(
         enumeration_budget=enumeration_budget,
         plan_cache=rule.plan_cache,
         stats=stats,
-        costed=costed,
         feedback=feedback,
     )
     head_full = _compile_eval(head.element, _layout_of(full), instance)
@@ -957,7 +951,7 @@ def compile_seminaive(
         rest = body[:position] + body[position + 1 :]
         plan = lookup_plan(
             tuple(rest), frozenset(init_vars), instance, use_indexes,
-            rule.plan_cache, stats, costed, feedback,
+            rule.plan_cache, stats, feedback,
         )
         state = _State()
         entry, sink_cell = _compile_steps(
@@ -995,7 +989,7 @@ class RuleCompiler:
     """Compiles rules on demand, caches kernels per rule, keeps the books.
 
     Kernels live in the bounded ``Rule.kernel_cache`` keyed by
-    ``(shape, use_indexes, costed)`` — ``shape`` is ``"rule"`` (γ1) or
+    ``(shape, use_indexes)`` — ``shape`` is ``"rule"`` (γ1) or
     ``"sn"`` (semi-naive) — and are revalidated against the instance on
     every fetch; a stale kernel (new instance, or indexes dropped by an
     IQL* deletion) is recompiled in place, and the drift detector of
@@ -1008,11 +1002,9 @@ class RuleCompiler:
         self,
         use_indexes: bool = True,
         enumeration_budget: int = 100_000,
-        costed: bool = False,
     ):
         self.use_indexes = use_indexes
         self.enumeration_budget = enumeration_budget
-        self.costed = costed
         self.stats: Any = None
         self._compiled_seen: Set[int] = set()
         self._interpreted_seen: Set[int] = set()
@@ -1044,14 +1036,13 @@ class RuleCompiler:
         """The γ1 kernel for ``rule`` on ``instance``, or None (interpreted)."""
         return self._kernel(
             rule,
-            ("rule", self.use_indexes, self.costed),
+            ("rule", self.use_indexes),
             lambda: compile_rule(
                 rule,
                 instance,
                 use_indexes=self.use_indexes,
                 enumeration_budget=self.enumeration_budget,
                 stats=self.stats,
-                costed=self.costed,
             ),
             instance,
         )
@@ -1062,7 +1053,7 @@ class RuleCompiler:
         """The delta-rewriting kernels for ``rule``, or None (interpreted)."""
         return self._kernel(
             rule,
-            ("sn", self.use_indexes, self.costed),
+            ("sn", self.use_indexes),
             lambda: compile_seminaive(
                 rule,
                 shape,
@@ -1070,7 +1061,6 @@ class RuleCompiler:
                 use_indexes=self.use_indexes,
                 enumeration_budget=self.enumeration_budget,
                 stats=self.stats,
-                costed=self.costed,
             ),
             instance,
         )

@@ -1,4 +1,4 @@
-"""The naive inflationary evaluator (Section 3.2).
+"""The inflationary evaluators (Section 3.2).
 
 The semantics of a program G is defined through its one-step operator
 γ1(G): given the current instance I,
@@ -18,6 +18,11 @@ The semantics of a program G is defined through its one-step operator
 γ∞(G) iterates γ1 to a fixpoint; the program maps instances(Sin) to
 instances(Sout) by loading, iterating and projecting.
 
+Two engines compute it: :class:`ReferenceEvaluator` iterates γ1 exactly as
+written (the executable oracle), and :class:`Evaluator`, the production
+engine, computes the same transformation with scheduling, semi-naive
+deltas, cost-planned indexed joins and compiled rule kernels.
+
 Extensions handled here:
 
 * stage composition "``;``" — each stage runs to fixpoint in order,
@@ -30,6 +35,7 @@ Extensions handled here:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -38,6 +44,7 @@ from repro.iql.invention import CountingOidFactory, OidFactory
 from repro.iql.literals import Equality, Membership
 from repro.iql.program import Program
 from repro.iql.rules import Rule
+from repro.iql.stats import check_drift
 from repro.iql.terms import Deref, NameTerm, Var
 from repro.iql.valuation import Bindings, eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -67,7 +74,8 @@ class EvaluationStats:
     (:mod:`repro.values.intern`) over the duration of the run: value
     constructions answered from the intern table, constructions that
     created a new node, and ``__eq__`` calls settled by the identity
-    check. With ``Evaluator(interned=False)`` the first two stay zero.
+    check. A run inside ``intern.interning(False)`` builds plain
+    structural values, so the first two stay zero.
     """
 
     steps: int = 0
@@ -89,13 +97,13 @@ class EvaluationStats:
     intern_hits: int = 0
     intern_misses: int = 0
     eq_fast_paths: int = 0
-    # Certified scheduling (Evaluator(schedule=True)): strata solved,
+    # Certified scheduling (repro.analysis.depgraph): strata solved,
     # rule executions skipped because their whole read set was clean, and
     # stages that ran monolithic because the analysis refused to certify.
     strata: int = 0
     rules_skipped_clean: int = 0
     schedule_fallbacks: int = 0
-    # Rule compilation (Evaluator(compile=True), repro.iql.compile):
+    # Rule compilation (repro.iql.compile):
     # distinct rules that ran as compiled kernels vs fell back to the
     # interpreter this run, fallback events by construct tag ("deletion",
     # "choose", "unbound-dereference", "set-assignment"), and the wall
@@ -167,7 +175,21 @@ class EvaluationResult:
 
 
 class Evaluator:
-    """Evaluates IQL / IQL+ / IQL* programs by naive inflationary iteration.
+    """The production engine for IQL / IQL+ / IQL* programs.
+
+    Computes the inflationary fixpoint of the module docstring with no
+    switches: one fixpoint per certified dependency stratum
+    (:mod:`repro.analysis.depgraph`) with clean-read rule skipping,
+    semi-naive delta rounds for eligible strata
+    (:mod:`repro.iql.seminaive`), cost-planned and adaptively replanned
+    body joins over hash indexes (:mod:`repro.iql.valuation`,
+    :mod:`repro.iql.stats`, :mod:`repro.iql.indexes`), closure-compiled
+    rule kernels with a per-rule interpreter fallback
+    (:mod:`repro.iql.compile`), over hash-consed o-values. A stage the
+    analysis cannot certify runs as one monolithic fixpoint and is counted
+    in ``stats.schedule_fallbacks``. :class:`ReferenceEvaluator` computes
+    the same transformation by the paper's naive iteration; the
+    differential tests hold this engine to it.
 
     ``choose_mode`` controls the genericity discipline of IQL+:
 
@@ -180,7 +202,20 @@ class Evaluator:
       arbitrary (seeded-random) candidate even when that violates
       genericity. The result is then a *nondeterministic* transformation —
       outputs for the same input need not be O-isomorphic.
+
+    ``parallel=N`` runs certified stratum batches and partitioned delta
+    rounds on an N-worker pool (:mod:`repro.analysis.parallel`,
+    :mod:`repro.iql.parexec`); ``backend`` picks shared-memory threads or
+    shared-nothing processes. ``parallel="auto"`` sizes the pool to the
+    host's usable CPUs, clamped by the certificate's certified width (the
+    IQL804 bound — more workers than independent strata/partitions cannot
+    be used).
     """
+
+    #: Delta rewriting for eligible strata (repro.iql.seminaive).
+    seminaive = True
+    #: Hash-index probes in body joins and dereference matching.
+    indexed = True
 
     def __init__(
         self,
@@ -189,15 +224,7 @@ class Evaluator:
         limits: Optional[EvaluatorLimits] = None,
         choose_mode: str = "verify",
         seed: int = 0,
-        trace: bool = False,
-        seminaive: bool = True,
-        indexed: bool = True,
         preflight: bool = False,
-        interned: bool = True,
-        schedule: bool = False,
-        compile: bool = False,
-        cost_planning: bool = True,
-        replan_ratio: float = 10.0,
         parallel: Union[int, str] = 0,
         backend: str = "thread",
     ):
@@ -211,126 +238,67 @@ class Evaluator:
         self.oid_factory = oid_factory or CountingOidFactory()
         self.limits = limits or EvaluatorLimits()
         self.choose_mode = choose_mode
-        self.trace_enabled = trace
-        self._trace: Optional[List[TraceEvent]] = [] if trace else None
-        # Delta rewriting for eligible stages (repro.iql.seminaive);
-        # disabled automatically under tracing so every event is observed.
-        self.seminaive = seminaive and not trace
-        # Hash-index probes + the selectivity-ordered body planner
-        # (repro.iql.indexes / valuation). ``indexed=False`` restores the
-        # original generate-and-test join — the differential-test oracle.
-        self.indexed = indexed
-        # Cost-based planning (repro.iql.stats): score candidate plan
-        # steps with live cardinality statistics and replan when runtime
-        # row counts drift ≥ replan_ratio from the estimates.
-        # ``cost_planning=False`` restores the static rank heuristic — the
-        # A/B baseline behind ``repro run --static-plans``. Join order
-        # never affects the solution set, only speed.
-        self.cost_planning = cost_planning
-        self.replan_ratio = replan_ratio
-        # Hash-consing of o-values (repro.values.intern). ``interned=False``
-        # evaluates with plain structural values — the A/B escape hatch
-        # behind ``repro run --no-intern``.
-        self.interned = interned
-        # Certified parallel execution (repro.analysis.parallel +
-        # repro.iql.parexec): ``parallel=N`` runs certified stratum
-        # batches and partitioned delta rounds on an N-worker pool —
-        # ``backend`` picks shared-memory threads or shared-nothing
-        # processes. ``parallel="auto"`` sizes the pool to the host's
-        # usable CPUs, clamped below by the certificate's certified
-        # width (the IQL804 bound — more workers than independent
-        # strata/partitions cannot be used). Implies scheduling (the
-        # certificate is a per-stratum refinement of the schedule);
-        # disabled under tracing.
+        self._rng = random.Random(seed)
+        self._trace: Optional[List[TraceEvent]] = None
         self.backend = backend
-        auto_width = isinstance(parallel, str)
-        if parallel and not trace:
-            from repro.iql.parexec import worker_count
-
-            self.parallel = worker_count(parallel)
-        else:
-            self.parallel = 0
-        # Certified SCC scheduling (repro.analysis.depgraph): one fixpoint
-        # per dependency stratum instead of one per stage, with rule-level
-        # clean-read skipping. Stages the analysis cannot certify fall back
-        # to the monolithic fixpoint; IQL601 fallbacks warn. Disabled under
-        # tracing like the other rewritings.
-        self.schedule = (schedule or bool(self.parallel)) and not trace
+        self.parallel = 0
         self._schedule = None
-        if self.schedule:
-            import warnings
-
-            from repro.analysis import PreflightWarning
-            from repro.analysis.depgraph import compute_schedule
-
-            self._schedule = compute_schedule(program)
-            for plan in self._schedule.stages:
-                if plan.fallback_reason and "IQL601" in plan.fallback_reason:
-                    warnings.warn(
-                        f"stage {plan.index + 1} falls back to the monolithic "
-                        f"fixpoint: {plan.fallback_reason}",
-                        PreflightWarning,
-                        stacklevel=3,
-                    )
-        # Rule compilation (repro.iql.compile): specialize planned bodies
-        # into closure kernels over slot lists, used by both the naive
-        # one-step operator and the semi-naive rounds; rules with an
-        # uncompilable construct fall back per rule. Disabled under
-        # tracing (kernels bypass the event emission points).
-        self.compile = compile and not trace
         self._compiler = None
-        if self.compile:
-            from repro.iql.compile import RuleCompiler
-
-            self._compiler = RuleCompiler(
-                use_indexes=self.indexed,
-                enumeration_budget=self.limits.enumeration_budget,
-                costed=self.cost_planning,
-            )
-        # The IQL8xx gate: parallel execution happens only under a
-        # validated ParallelCertificate. A failed audit or a tampered
-        # certificate disables the pool outright; per-stratum IQL801/802
-        # hazards stay in the certificate and fall back serial at run
-        # time, each announced here as a PreflightWarning (the IQL601
-        # pattern above).
         self._parallel_certificate = None
         self._driver = None  # persistent pool (process backend), lazily built
-        if self.parallel:
-            import warnings
+        self._build_engine(parallel)
 
-            from repro.analysis import PreflightWarning
-            from repro.analysis.parallel import (
-                build_parallel_certificate,
-                parallel_pass,
-                validate_parallel_certificate,
-            )
+    def _build_engine(self, parallel: Union[int, str]) -> None:
+        """Certify the schedule, set up the rule compiler and, for
+        ``parallel=N``, pass the IQL8xx gate."""
+        from repro.analysis.depgraph import compute_schedule
+        from repro.iql.compile import RuleCompiler
 
-            certificate = build_parallel_certificate(
-                program, schedule=self._schedule, backend=self.backend
-            )
-            violations = validate_parallel_certificate(program, certificate)
-            for diag in parallel_pass(program, certificate=certificate):
-                if diag.code in ("IQL801", "IQL802", "IQL803"):
-                    warnings.warn(
-                        f"{diag.code}: {diag.message} — serial fallback",
-                        PreflightWarning,
-                        stacklevel=3,
-                    )
-            if violations:
-                for violation in violations:
-                    warnings.warn(
-                        f"parallel execution disabled: {violation}",
-                        PreflightWarning,
-                        stacklevel=3,
-                    )
-            elif certificate.certified:
-                self._parallel_certificate = certificate
-                if auto_width:
-                    # IQL804: workers beyond the certified width idle.
-                    self.parallel = max(1, min(self.parallel, certificate.width))
-        import random as _random
+        self._schedule = compute_schedule(self.program)
+        self._compiler = RuleCompiler(
+            enumeration_budget=self.limits.enumeration_budget
+        )
+        if not parallel:
+            return
+        import warnings
 
-        self._rng = _random.Random(seed)
+        from repro.analysis import PreflightWarning
+        from repro.analysis.parallel import (
+            build_parallel_certificate,
+            parallel_pass,
+            validate_parallel_certificate,
+        )
+        from repro.iql.parexec import worker_count
+
+        self.parallel = worker_count(parallel)
+        # Parallel execution happens only under a validated
+        # ParallelCertificate. A failed audit or a tampered certificate
+        # disables the pool outright; per-stratum IQL801/802 hazards stay
+        # in the certificate and fall back serial at run time, each
+        # announced here as a PreflightWarning.
+        certificate = build_parallel_certificate(
+            self.program, schedule=self._schedule, backend=self.backend
+        )
+        violations = validate_parallel_certificate(self.program, certificate)
+        for diag in parallel_pass(self.program, certificate=certificate):
+            if diag.code in ("IQL801", "IQL802", "IQL803"):
+                warnings.warn(
+                    f"{diag.code}: {diag.message} — serial fallback",
+                    PreflightWarning,
+                    stacklevel=4,
+                )
+        if violations:
+            for violation in violations:
+                warnings.warn(
+                    f"parallel execution disabled: {violation}",
+                    PreflightWarning,
+                    stacklevel=4,
+                )
+        elif certificate.certified:
+            self._parallel_certificate = certificate
+            if isinstance(parallel, str):
+                # IQL804: workers beyond the certified width idle.
+                self.parallel = max(1, min(self.parallel, certificate.width))
 
     @staticmethod
     def _preflight(program: Program) -> None:
@@ -378,28 +346,27 @@ class Evaluator:
             stats.parallel_workers = self.parallel
             stats.parallel_backend = self.backend
         try:
-            with intern.interning(self.interned):
-                for index, stage in enumerate(self.program.stages):
-                    plan = self._schedule.stages[index] if self._schedule else None
-                    if plan is not None and plan.scheduled:
-                        if driver is not None:
-                            self._run_stage_parallel(
-                                working,
-                                index,
-                                plan.strata,
-                                self._parallel_certificate.stages[index],
-                                stats,
-                                driver,
-                            )
-                        else:
-                            self._run_stage_scheduled(working, plan.strata, stats)
+            for index, stage in enumerate(self.program.stages):
+                plan = self._schedule.stages[index] if self._schedule else None
+                if plan is not None and plan.scheduled:
+                    if driver is not None:
+                        self._run_stage_parallel(
+                            working,
+                            index,
+                            plan.strata,
+                            self._parallel_certificate.stages[index],
+                            stats,
+                            driver,
+                        )
                     else:
-                        if plan is not None:
-                            stats.schedule_fallbacks += 1
-                            if driver is not None:
-                                stats.parallel_fallbacks += 1
-                        self._run_stage(working, list(stage), stats)
-                output = working.project(self.program.output_schema)
+                        self._run_stage_scheduled(working, plan.strata, stats)
+                else:
+                    if plan is not None:
+                        stats.schedule_fallbacks += 1
+                        if driver is not None:
+                            stats.parallel_fallbacks += 1
+                    self._run_stage(working, list(stage), stats)
+            output = working.project(self.program.output_schema)
         finally:
             if driver is not None:
                 driver.release()
@@ -456,15 +423,12 @@ class Evaluator:
         """
         if stats is None:
             stats = EvaluationStats()
-        from repro.values import intern
-
-        with intern.interning(self.interned):
-            if initial_delta is not None:
-                self._run_stage_delta_seeded(
-                    instance, list(rules), stats, initial_delta, added
-                )
-            else:
-                self._run_stage(instance, list(rules), stats)
+        if initial_delta is not None:
+            self._run_stage_delta_seeded(
+                instance, list(rules), stats, initial_delta, added
+            )
+        else:
+            self._run_stage(instance, list(rules), stats)
         return stats
 
     def _run_stage_delta_seeded(
@@ -488,8 +452,6 @@ class Evaluator:
                 compiler=self._compiler,
                 initial_delta=initial_delta,
                 added=added,
-                costed=self.cost_planning,
-                replan_ratio=self.replan_ratio if self.cost_planning else None,
             )
             stats.per_stage_steps.append(rounds)
             return
@@ -526,8 +488,6 @@ class Evaluator:
                     max_steps=self.limits.max_steps,
                     use_indexes=self.indexed,
                     compiler=self._compiler,
-                    costed=self.cost_planning,
-                    replan_ratio=self.replan_ratio if self.cost_planning else None,
                 )
                 stats.per_stage_steps.append(rounds)
                 return
@@ -559,24 +519,13 @@ class Evaluator:
             steps_here += 1
             if not changed:
                 break
-            self._check_drift(rules, stats)
+            # Round boundaries are the safe point to replan drifted plans:
+            # no kernel is running and staged additions are applied, and
+            # the next round re-fetches plans and kernels.
+            check_drift(rules, stats)
         stats.per_stage_steps.append(steps_here)
 
-    def _check_drift(self, rules: List[Rule], stats: EvaluationStats) -> None:
-        """Between fixpoint rounds: replan any plan whose estimates drifted.
-
-        Round boundaries are the only safe point — no kernel is running,
-        and staged additions are already applied — and also the useful
-        one: the next round re-fetches plans and kernels, so an eviction
-        takes effect immediately (mid-fixpoint adaptivity).
-        """
-        if not self.cost_planning:
-            return
-        from repro.iql.stats import check_drift
-
-        check_drift(rules, stats, self.replan_ratio)
-
-    # -- the certified schedule (Evaluator(schedule=True)) ---------------------------
+    # -- the certified schedule ----------------------------------------------------------
 
     @staticmethod
     def _fingerprint(instance: Instance, symbol: str):
@@ -644,7 +593,7 @@ class Evaluator:
 
         steps_total = 0
         stats.strata += 1
-        if self.seminaive and stage_eligible(rules, instance):
+        if stage_eligible(rules, instance):
             return run_stage_seminaive(
                 instance,
                 rules,
@@ -653,8 +602,6 @@ class Evaluator:
                 max_steps=self.limits.max_steps,
                 use_indexes=self.indexed,
                 compiler=self._compiler,
-                costed=self.cost_planning,
-                replan_ratio=self.replan_ratio if self.cost_planning else None,
             )
         effects = [rule_effects(rule, instance.schema) for rule in rules]
         read_symbols = frozenset().union(*(eff.reads for eff in effects))
@@ -676,7 +623,7 @@ class Evaluator:
             steps_total += 1
             if not changed:
                 break
-            self._check_drift(rules, stats)
+            check_drift(rules, stats)
             current = {
                 symbol: self._fingerprint(instance, symbol)
                 for symbol in read_symbols
@@ -752,7 +699,7 @@ class Evaluator:
             plan = stage_plan.strata[stratum_index]
             rules = list(strata[stratum_index])
             rounds = None
-            if plan.partitionable and self.seminaive and stage_eligible(rules, instance):
+            if plan.partitionable and stage_eligible(rules, instance):
                 rounds = driver.run_partitioned(instance, stage_index, rules, stats)
                 if rounds is not None:
                     stats.strata += 1
@@ -796,8 +743,7 @@ class Evaluator:
                 stats=stats,
                 plan_cache=rule.plan_cache,
                 use_indexes=self.indexed,
-                costed=self.cost_planning,
-                feedback=rule.feedback_cache if self.cost_planning else None,
+                feedback=rule.feedback_cache,
             ):
                 stats.valuations_considered += 1
                 if rule.delete:
@@ -1122,6 +1068,38 @@ class Evaluator:
                 if oids_of(value) & removed:
                     if oid not in removed:
                         worklist.add(oid)
+
+
+class ReferenceEvaluator(Evaluator):
+    """The paper's naive inflationary semantics, executable: the oracle.
+
+    Iterates γ1 over each whole stage until nothing changes, solving rule
+    bodies by generate-and-test matching — no schedule, no semi-naive
+    deltas, no index probes, no compiled kernels, no worker pool. It is
+    slow by design and is what the differential tests compare
+    :class:`Evaluator` against (exactly for invention-free programs, up to
+    O-isomorphism otherwise). ``trace=True`` records every derivation
+    event in :attr:`EvaluationResult.trace`.
+    """
+
+    seminaive = False
+    indexed = False
+
+    def __init__(
+        self,
+        program: Program,
+        oid_factory: Optional[OidFactory] = None,
+        limits: Optional[EvaluatorLimits] = None,
+        choose_mode: str = "verify",
+        seed: int = 0,
+        preflight: bool = False,
+        trace: bool = False,
+    ):
+        super().__init__(program, oid_factory, limits, choose_mode, seed, preflight)
+        self._trace = [] if trace else None
+
+    def _build_engine(self, parallel: Union[int, str]) -> None:
+        """Nothing to build: every stage runs γ1 to its fixpoint."""
 
 
 # -- convenience entry points ----------------------------------------------------------

@@ -37,9 +37,10 @@ positions is deduplicated per rule, and a fact that dies and is reborn
 The invariant ``fact ∈ ρ(S) ⟺ count(S, fact) ≥ 1`` holds at the initial
 fixpoint because the evaluator runs scheduled (counting symbols live in
 certified, topologically ordered strata, so their reads are final when
-their stratum converges); a :class:`MaterializedProgram` built over an
-unscheduled evaluator detects the mismatch per symbol and demotes it to
-DRed instead of serving wrong counts.
+their stratum converges); a :class:`MaterializedProgram` built over the
+unscheduled :class:`~repro.iql.evaluator.ReferenceEvaluator` detects the
+mismatch per symbol and demotes it to DRed instead of serving wrong
+counts.
 
 Deletion happens *in place*: the removal mutators of
 :class:`~repro.schema.instance.Instance` retract the affected index
@@ -80,6 +81,7 @@ from repro.errors import EvaluationError
 from repro.iql.evaluator import EvaluationResult, EvaluationStats, Evaluator
 from repro.iql.program import Program
 from repro.iql.rules import Rule
+from repro.iql.stats import check_drift
 from repro.iql.supports import SupportTable
 from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -122,14 +124,15 @@ class MaterializedProgram:
     ``input_instance`` is an instance over the program's input schema
     (it is copied; the copy — the *maintained base* — is kept in sync
     with every applied batch and is what fallback recomputes run from).
-    The default evaluator runs scheduled and compiled — scheduling is
-    what makes the counting invariant hold at the initial fixpoint, and
-    compilation is what the delta joins ride on.
+    The default :class:`Evaluator` runs scheduled and compiled —
+    scheduling is what makes the counting invariant hold at the initial
+    fixpoint, and compilation is what the delta joins ride on.
 
     ``stats`` is one cumulative :class:`EvaluationStats` across the
     initial run and every batch: the IVM counters (``deltas_applied``,
     ``supports_adjusted``, ``overdeleted``, ``rederived``,
-    ``maintenance_fallbacks``) only ever grow here.
+    ``maintenance_fallbacks``) only ever grow here. The evaluator's
+    ``max_steps`` budget, by contrast, is charged per batch.
     """
 
     def __init__(
@@ -140,7 +143,7 @@ class MaterializedProgram:
     ):
         self.program = program
         if evaluator is None:
-            evaluator = Evaluator(program, schedule=True, compile=True)
+            evaluator = Evaluator(program)
         if evaluator.program is not program:
             raise EvaluationError(
                 "the evaluator was constructed for a different program"
@@ -228,23 +231,23 @@ class MaterializedProgram:
         Deletes-then-inserts semantics per symbol: the *net* delta is
         Δ⁺ = inserts − extent and Δ⁻ = (deletes ∩ extent) − inserts, so
         deleting and re-inserting the same fact in one batch is a no-op.
-        Returns the cumulative :attr:`stats`.
+        The evaluator's ``max_steps`` bounds this batch's fixpoint rounds,
+        not the running total. Returns the cumulative :attr:`stats`.
         """
-        from repro.values import intern
-
-        with intern.interning(self._evaluator.interned):
+        # The step loops compare ``stats.steps`` against ``max_steps``:
+        # count this batch from zero, then fold it back into the total.
+        steps_before = self.stats.steps
+        self.stats.steps = 0
+        try:
             self._apply(self._group(inserts), self._group(deletes))
-            if self._evaluator.cost_planning:
-                from repro.iql.stats import check_drift
-
-                # The batch's row counts are fresh evidence; replanning
-                # here (plans evicted, kernels invalidated) makes the
-                # *next* batch run the corrected order — cardinalities
-                # drift across a long maintenance run as the instance
-                # grows away from its initial-fixpoint statistics.
-                check_drift(
-                    self.program.rules, self.stats, self._evaluator.replan_ratio
-                )
+        finally:
+            self.stats.steps += steps_before
+        # The batch's row counts are fresh evidence; replanning here
+        # (plans evicted, kernels invalidated) makes the *next* batch run
+        # the corrected order — cardinalities drift across a long
+        # maintenance run as the instance grows away from its
+        # initial-fixpoint statistics.
+        check_drift(self.program.rules, self.stats)
         return self.stats
 
     # -- batch dispatch -----------------------------------------------------------
@@ -636,10 +639,7 @@ class MaterializedProgram:
                         stats=self.stats,
                         plan_cache=rule.plan_cache,
                         use_indexes=indexed,
-                        costed=self._evaluator.cost_planning,
-                        feedback=rule.feedback_cache
-                        if self._evaluator.cost_planning
-                        else None,
+                        feedback=rule.feedback_cache,
                     ):
                         value = eval_term(head_term, theta, instance)
                         if value is not None:
@@ -763,10 +763,7 @@ class MaterializedProgram:
                     stats=self.stats,
                     plan_cache=rule.plan_cache,
                     use_indexes=indexed,
-                    costed=self._evaluator.cost_planning,
-                    feedback=rule.feedback_cache
-                    if self._evaluator.cost_planning
-                    else None,
+                    feedback=rule.feedback_cache,
                 ):
                     key = frozenset(theta.items())
                     if key in seen:

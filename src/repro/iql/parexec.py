@@ -131,9 +131,7 @@ def compile_replicas(
     shapes: Dict[int, DeltaBody],
     instance: Instance,
     workers: int,
-    use_indexes: bool,
     enumeration_budget: int,
-    costed: bool,
 ) -> Optional[List[Dict[int, SeminaiveKernels]]]:
     """One full kernel set per worker, or None if any rule won't compile.
 
@@ -150,9 +148,7 @@ def compile_replicas(
                     rule,
                     shapes[index],
                     instance,
-                    use_indexes=use_indexes,
                     enumeration_budget=enumeration_budget,
-                    costed=costed,
                 )
                 for index, rule in enumerate(rules)
             }
@@ -219,8 +215,6 @@ def run_stage_seminaive_partitioned(
     pool,
     workers: int,
     max_steps: int = 10_000,
-    use_indexes: bool = True,
-    costed: bool = False,
 ) -> Optional[int]:
     """Evaluate one certified-partitionable stratum with split delta rounds
     on a shared-memory thread pool.
@@ -239,14 +233,11 @@ def run_stage_seminaive_partitioned(
         if shape is None:
             return None
         shapes[index] = shape
-    replicas = compile_replicas(
-        rules, shapes, instance, workers, use_indexes, enumeration_budget, costed
-    )
+    replicas = compile_replicas(rules, shapes, instance, workers, enumeration_budget)
     if replicas is None:
         return None
-    if use_indexes:
-        # Prewarm: the lazy index build must not race across workers.
-        instance.indexes  # noqa: B018
+    # Prewarm: the lazy index build must not race across workers.
+    instance.indexes  # noqa: B018
 
     def drive(worker: int, stride: int, delta_lists: Dict[str, list]) -> Tuple[Dict[str, Set[OValue]], int]:
         return drive_share(
@@ -350,9 +341,8 @@ class ThreadDriver:
         stats,
     ) -> int:
         evaluator = self.evaluator
-        if evaluator.indexed:
-            # Prewarm: the lazy index build must not race across workers.
-            instance.indexes  # noqa: B018
+        # Prewarm: the lazy index build must not race across workers.
+        instance.indexes  # noqa: B018
         # The incremental constants fold (_note_constants) is a
         # read-modify-write; concurrent workers adding facts could
         # tear it and silently drop constants. Certified batches
@@ -398,8 +388,6 @@ class ThreadDriver:
             self._pool,
             self.workers,
             max_steps=evaluator.limits.max_steps,
-            use_indexes=evaluator.indexed,
-            costed=evaluator.cost_planning,
         )
 
     def release(self) -> None:
@@ -527,7 +515,6 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
     import traceback  # noqa: PLC0415
 
     from repro import io  # noqa: PLC0415
-    from repro.values import intern  # noqa: PLC0415
 
     # Under fork the worker inherits the coordinator's whole heap via
     # copy-on-write. A collection here would traverse (and so dirty) every
@@ -536,26 +523,10 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
     # worker itself allocates.
     gc.freeze()
 
-    program, options = pickle.loads(startup)
-    intern.set_interning(options["interned"])
-    from repro.iql.evaluator import Evaluator, EvaluatorLimits  # noqa: PLC0415
+    program, limits = pickle.loads(startup)
+    from repro.iql.evaluator import Evaluator  # noqa: PLC0415
 
-    evaluator = Evaluator(
-        program,
-        limits=EvaluatorLimits(
-            max_steps=options["max_steps"],
-            enumeration_budget=options["enumeration_budget"],
-            max_invented_oids=options["max_invented_oids"],
-        ),
-        seminaive=options["seminaive"],
-        indexed=options["indexed"],
-        interned=options["interned"],
-        compile=options["compile"],
-        cost_planning=options["cost_planning"],
-        replan_ratio=options["replan_ratio"],
-        schedule=False,
-        parallel=0,
-    )
+    evaluator = Evaluator(program, limits=limits)
     instance: Optional[Instance] = None
     episode: Optional[tuple] = None  # (rules, shapes, kernels)
     while True:
@@ -593,18 +564,11 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
                         raise CompileFallback("outside the delta fragment")
                     shapes[index] = shape
                 replicas = compile_replicas(
-                    rules,
-                    shapes,
-                    instance,
-                    1,
-                    options["indexed"],
-                    options["enumeration_budget"],
-                    options["cost_planning"],
+                    rules, shapes, instance, 1, limits.enumeration_budget
                 )
                 if replicas is None:
                     raise CompileFallback("kernel replica compile failed")
-                if options["indexed"]:
-                    instance.indexes  # noqa: B018
+                instance.indexes  # noqa: B018
                 episode = (rules, shapes, replicas[0])
                 conn.send_bytes(pickle.dumps(("ready",)))
             elif kind == "round":
@@ -667,7 +631,7 @@ class ProcessDriver:
     """The shared-nothing multiprocessing driver.
 
     Workers are persistent (one pool per Evaluator, reused across runs):
-    the program and evaluator options cross once at pool creation, each
+    the program and evaluator limits cross once at pool creation, each
     parallel episode ships the instance state to the workers it engages,
     and per round only fact deltas cross, in the :mod:`repro.io` wire
     encoding. Deltas from rounds too small to split are buffered and
@@ -684,22 +648,7 @@ class ProcessDriver:
         self.workers = workers
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         context = mp.get_context(method)
-        startup = pickle.dumps(
-            (
-                evaluator.program,
-                {
-                    "seminaive": evaluator.seminaive,
-                    "indexed": evaluator.indexed,
-                    "interned": evaluator.interned,
-                    "compile": evaluator.compile,
-                    "cost_planning": evaluator.cost_planning,
-                    "replan_ratio": evaluator.replan_ratio,
-                    "max_steps": evaluator.limits.max_steps,
-                    "enumeration_budget": evaluator.limits.enumeration_budget,
-                    "max_invented_oids": evaluator.limits.max_invented_oids,
-                },
-            )
-        )
+        startup = pickle.dumps((evaluator.program, evaluator.limits))
         self._connections = []
         self._processes = []
         for worker_id in range(workers):
@@ -805,19 +754,12 @@ class ProcessDriver:
                 return None
             shapes[index] = shape
         replicas = compile_replicas(
-            list(rules),
-            shapes,
-            instance,
-            1,
-            evaluator.indexed,
-            evaluator.limits.enumeration_budget,
-            evaluator.cost_planning,
+            list(rules), shapes, instance, 1, evaluator.limits.enumeration_budget
         )
         if replicas is None:
             return None
         kernels0 = replicas[0]
-        if evaluator.indexed:
-            instance.indexes  # noqa: B018
+        instance.indexes  # noqa: B018
 
         rule_indexes = self._rule_indexes(
             evaluator.program.stages[stage_index], rules

@@ -39,6 +39,7 @@ from typing import Dict, Optional, Sequence, Set
 from repro.analysis.effects import DeltaBody, delta_body, mentions_name
 from repro.iql.literals import Membership
 from repro.iql.rules import Rule
+from repro.iql.stats import check_drift
 from repro.iql.terms import NameTerm, Var
 from repro.iql.valuation import eval_term, match, solve_body
 from repro.schema.instance import Instance
@@ -116,8 +117,6 @@ def run_stage_seminaive(
     compiler=None,
     initial_delta: Optional[Dict[str, Set[OValue]]] = None,
     added: Optional[Dict[str, Set[OValue]]] = None,
-    costed: bool = False,
-    replan_ratio: Optional[float] = None,
 ) -> int:
     """Evaluate an eligible stage to fixpoint with delta rewriting.
 
@@ -143,11 +142,11 @@ def run_stage_seminaive(
     cannot take (a fallback construct in the body) run the interpreted
     path above, rule by rule.
 
-    ``costed``/``replan_ratio`` wire in the adaptive planner
-    (:mod:`repro.iql.stats`): kernels are re-fetched and the drift check
-    runs *per round*, so a plan whose round-0 estimates prove wrong (the
-    classic case: a recursive relation planned while still empty) is
-    replanned mid-fixpoint and the remaining rounds run the better order.
+    The adaptive planner (:mod:`repro.iql.stats`) is wired in per round:
+    the drift check runs after every round and kernels are re-fetched,
+    so a plan whose round-0 estimates prove wrong (the classic case: a
+    recursive relation planned while still empty) is replanned
+    mid-fixpoint and the remaining rounds run the better order.
     """
     schema = instance.schema
     shapes: Dict[int, DeltaBody] = {}
@@ -218,8 +217,7 @@ def run_stage_seminaive(
                     stats=stats,
                     plan_cache=rule.plan_cache,
                     use_indexes=use_indexes,
-                    costed=costed,
-                    feedback=rule.feedback_cache if costed else None,
+                    feedback=rule.feedback_cache,
                 ):
                     derive(theta)
                 continue
@@ -262,8 +260,7 @@ def run_stage_seminaive(
                             stats=stats,
                             plan_cache=rule.plan_cache,
                             use_indexes=use_indexes,
-                            costed=costed,
-                            feedback=rule.feedback_cache if costed else None,
+                            feedback=rule.feedback_cache,
                         ):
                             derive(theta)
 
@@ -279,11 +276,8 @@ def run_stage_seminaive(
                     if added is not None:
                         added.setdefault(name, set()).add(value)
         delta = new
-        if costed and replan_ratio is not None:
-            from repro.iql.stats import check_drift
-
-            # Mid-fixpoint adaptivity: a drifted plan is evicted here and
-            # the re-fetch below recompiles the rule against the replanned
-            # order for the remaining rounds.
-            if check_drift(rules, stats, replan_ratio):
-                kernels = fetch_kernels()
+        # Mid-fixpoint adaptivity: a drifted plan is evicted here and
+        # the re-fetch below recompiles the rule against the replanned
+        # order for the remaining rounds.
+        if check_drift(rules, stats):
+            kernels = fetch_kernels()

@@ -3,8 +3,8 @@
 The paper's closing remark — IQL "is a good candidate for conventional
 database optimizations" — licensed the indexes (PR 2), the semi-naive
 deltas and the compiled kernels; this module supplies the *optimizer
-statistics* that turn the body planner of :mod:`repro.iql.valuation` from
-a static rank heuristic into a cost model. It has two halves:
+statistics* behind the cost model of the body planner in
+:mod:`repro.iql.valuation`. It has two halves:
 
 **Statistics** (:class:`Statistics`) answers the planner's cardinality
 questions about one instance:
@@ -34,7 +34,7 @@ plans (:class:`~repro.iql.valuation.Plan`) carry their per-step estimates
 and a row-counter array that both the interpreter and the compiled kernels
 maintain; between fixpoint rounds the evaluator calls :func:`check_drift`,
 which compares observed per-step fan-out against the estimate. When they
-disagree by ≥ ``replan_ratio`` (default 10×), the plan is evicted from the
+disagree by ≥ :data:`REPLAN_RATIO` (10×), the plan is evicted from the
 rule's plan cache, its compiled kernels are invalidated, and the observed
 fan-outs are recorded in ``Rule.feedback_cache`` so the *next* planning of
 the same (body, bound-set) costs those steps with measured reality instead
@@ -67,6 +67,11 @@ DEFAULT_SET_WIDTH = 4.0
 
 #: Fraction of rows assumed to survive a fully-bound filter literal.
 FILTER_SELECTIVITY = 0.5
+
+#: Observed-vs-estimated fan-out ratio at which a plan counts as drifted
+#: and is replanned. Read at call time by :func:`check_drift`, so a test
+#: can set it to 1.0 ("any inexact estimate is drift") to force replans.
+REPLAN_RATIO = 10.0
 
 #: Hard cap on replans per plan-cache key: after this many rounds of
 #: feedback the last plan sticks, so oscillating fan-outs cannot thrash
@@ -206,8 +211,6 @@ def _segments(plan: "Plan") -> Iterator[Tuple[int, int, int, float, float]]:
     applies :data:`FILTER_SELECTIVITY` at the same places).
     """
     estimates = plan.estimates
-    if estimates is None:
-        return
     counts = plan.counts
     points = [i for i, step in enumerate(plan) if step[0] in GENERATOR_KINDS]
     points.append(len(plan))
@@ -253,8 +256,8 @@ def observed_fanouts(plan: "Plan") -> Dict[tuple, float]:
     return out
 
 
-def check_drift(rules, stats, ratio: float = 10.0) -> int:
-    """Replan every cached cost-based plan whose estimates drifted ≥ ``ratio``.
+def check_drift(rules, stats) -> int:
+    """Replan every cached plan whose estimates drifted ≥ :data:`REPLAN_RATIO`.
 
     For each drifted plan: record all measured fan-outs into the rule's
     ``feedback_cache`` (a BoundedDict keyed like the plan cache), evict the
@@ -271,9 +274,9 @@ def check_drift(rules, stats, ratio: float = 10.0) -> int:
         if not cache:
             continue
         for key, plan in list(cache.items()):
-            if plan.estimates is None or plan.replans >= MAX_REPLANS:
+            if plan.replans >= MAX_REPLANS:
                 continue
-            drifts = drifted_segments(plan, ratio)
+            drifts = drifted_segments(plan, REPLAN_RATIO)
             if not drifts:
                 continue
             if stats is not None:
@@ -322,8 +325,7 @@ def describe_plan(plan: "Plan") -> List[str]:
             detail = f"match   {pattern!r} = eval({known!r})"
         else:  # enum
             detail = f"enum    {step[1].name}: {step[1].type!r}"
-        if estimates is not None:
-            detail += f"  → est {estimates[i]:.1f} rows"
+        detail += f"  → est {estimates[i]:.1f} rows"
         lines.append(detail)
     if not lines:
         lines.append("(empty body: one empty valuation)")

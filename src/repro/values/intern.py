@@ -32,10 +32,10 @@ cost, no callbacks anywhere.
 Intern generations
 ------------------
 
-Interning can be switched off (``repro run --no-intern``, or the
-:func:`interning` context manager) for A/B measurements and differential
-tests.  Values built while interning is off are ordinary objects; equality
-against interned values falls back to the structural comparison, so mixing
+Interning can be switched off with the :func:`interning` context
+manager, which tests use to build values of another generation.  Values
+built while interning is off are ordinary objects; equality against
+interned values falls back to the structural comparison, so mixing
 generations is always *correct*, merely slower.  The counters below make
 the split observable:
 
@@ -127,8 +127,8 @@ def interning(enabled: bool) -> Iterator[None]:
     """Context manager: run a block with interning on or off.
 
     The toggle is process-global (the store is), so concurrent evaluators
-    in other threads observe it too — acceptable for the A/B and
-    differential uses this exists for.
+    in other threads observe it too — acceptable for the tests this
+    exists for.
     """
     previous = set_interning(enabled)
     try:

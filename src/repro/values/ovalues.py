@@ -37,7 +37,7 @@ membership never walks a tree, and the per-node metadata used by the
 hot paths — :func:`value_size`, :func:`value_depth`, :func:`oids_of`,
 :func:`constants_of`, :func:`sort_key`, :func:`sorted_elements` — is
 computed once per distinct value and cached on the node itself.
-Values built while interning is off (the ``--no-intern`` A/B hatch)
+Values built while interning is off (:func:`repro.values.intern.interning`)
 still compare correctly through the structural fallback in ``__eq__``.
 """
 
@@ -243,7 +243,13 @@ class OTuple:
             if len(data) >= store.tuples_mark:
                 # Amortized sweep: dead entries are left behind as
                 # tombstones (no removal callbacks — see intern.py).
-                store.tuples = {k: r for k, r in data.items() if r() is not None}
+                # Iterate a snapshot of the keys: a parallel thread worker
+                # may insert meanwhile. Its entry is then missing from the
+                # new table, which costs a duplicate node, never a wrong
+                # answer (entries are never removed from ``data``).
+                store.tuples = {
+                    k: r for k in list(data) if (r := data[k])() is not None
+                }
                 store.tuples_mark = max(
                     _STORE.SWEEP_FLOOR, 2 * len(store.tuples)
                 )
@@ -361,7 +367,10 @@ class OSet:
             data = store.sets
             data[elems] = _weakref(self)
             if len(data) >= store.sets_mark:
-                store.sets = {k: r for k, r in data.items() if r() is not None}
+                # Iterate a snapshot of the keys, as for tuples.
+                store.sets = {
+                    k: r for k in list(data) if (r := data[k])() is not None
+                }
                 store.sets_mark = max(_STORE.SWEEP_FLOOR, 2 * len(store.sets))
         return self
 

@@ -9,9 +9,10 @@ Three layers:
   index dicts by identity, so ``drop_indexes`` (IQL* deletions) and a
   change of instance must force recompilation;
 * plumbing — the bounded caches, the surfaced statistics, and the CLI
-  flag validation.
+  surface (the removed ``--compile`` flag is rejected).
 
-The 220-seed compiled-vs-reference sweep lives in test_differential.py.
+The 220-seed sweeps of the default (compiled) engine against the
+reference engine live in test_differential.py.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from repro.iql import (
     Membership,
     NameTerm,
     Program,
+    ReferenceEvaluator,
     Rule,
     SetTerm,
     TupleTerm,
@@ -40,11 +42,11 @@ from repro.values import Oid, OTuple, OSet
 
 
 def reference(program, instance):
-    return Evaluator(program, seminaive=False, indexed=False).run(instance.copy())
+    return ReferenceEvaluator(program).run(instance.copy())
 
 
 def compiled(program, instance, **kwargs):
-    return Evaluator(program, compile=True, **kwargs).run(instance.copy())
+    return Evaluator(program, **kwargs).run(instance.copy())
 
 
 # -- fallback constructs -----------------------------------------------------------
@@ -288,7 +290,7 @@ class TestSemantics:
     def test_compiled_scheduled_agrees(self):
         program, instance = _mixed_setup()
         ref = reference(program, instance)
-        out = Evaluator(program, schedule=True, compile=True).run(instance.copy())
+        out = compiled(program, instance)
         assert out.output == ref.output
         assert out.stats.strata == 3
 
@@ -350,20 +352,24 @@ class TestPlumbing:
         assert out.stats.kernel_cache_evictions == 0
 
     def test_compile_ignored_under_trace(self):
+        # Tracing belongs to the reference engine, which never compiles;
+        # the production engine has no trace switch to downgrade it.
         program, instance = _tc_setup()
-        evaluator = Evaluator(program, compile=True, trace=True)
-        assert not evaluator.compile
+        with pytest.raises(TypeError):
+            Evaluator(program, trace=True)
+        evaluator = ReferenceEvaluator(program, trace=True)
+        assert evaluator._compiler is None
         result = evaluator.run(instance.copy())
-        assert result.output == reference(program, instance).output
+        assert result.trace and result.stats.rules_compiled == 0
+        assert result.output == compiled(program, instance).output
 
 
 class TestCli:
     def test_naive_and_compile_rejected(self, capsys):
+        # There is no --compile flag: the default engine always compiles.
         from repro.__main__ import main
 
-        code = main(
-            ["run", "prog.iql", "--input", "in.json", "--naive", "--compile"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--naive" in err and "--compile" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "prog.iql", "--input", "in.json", "--naive", "--compile"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --compile" in capsys.readouterr().err

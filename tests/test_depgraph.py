@@ -3,9 +3,9 @@
 Covers the shared per-rule effect summaries (`repro.analysis.effects`),
 the per-stage dependency graphs with SCC condensation and strata
 (`repro.analysis.depgraph`), the IQL601–IQL604 dataflow diagnostics, the
-schedule certificate and its fallback reasons, the scheduled evaluator
-(`Evaluator(schedule=True)`) including its stats counters and the IQL601
-PreflightWarning, and the `repro analyze` / `repro lint --strict` CLI.
+schedule certificate and its fallback reasons, the scheduled default
+`Evaluator` including its stats counters and its IQL601 monolithic
+fallback, and the `repro analyze` / `repro lint --strict` CLI.
 """
 
 import json
@@ -27,7 +27,7 @@ from repro.analysis import (
     stage_graph,
 )
 from repro.analysis.effects import head_symbol, plane
-from repro.iql import Evaluator, Program, Rule, Var, atom, columns
+from repro.iql import Evaluator, Program, ReferenceEvaluator, Rule, Var, atom, columns
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref
@@ -74,6 +74,31 @@ output U
 rules {
   U(x) :- W(x).
   U(x) :- E(x).
+}
+"""
+
+# Set-valued reachability: the last stage's stratum writes the ^S plane
+# (outside the semi-naive fragment), and its base rule reads only
+# relations that stop changing after the first step.
+REACH = """
+schema {
+  relation R: [A1: D, A2: D];
+  relation R0: [A1: D];
+  relation R_prime: [A1: D, A2: S];
+  class S: {D};
+}
+var x, y, z: D
+var s, t: S
+input R
+output R_prime, S
+rules {
+  R0(x) :- R(x, y).
+  R0(x) :- R(y, x).
+  ;
+  R_prime(x, s) :- R0(x).
+  ;
+  s^(y) :- R_prime(x, s), R(x, y).
+  s^(z) :- R_prime(x, s), s^(y), R_prime(y, t), t^(z).
 }
 """
 
@@ -375,47 +400,39 @@ class TestScheduledEvaluator:
     def test_scheduled_equals_monolithic_on_chain(self):
         program = program_from_source(CHAIN)
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-        scheduled = Evaluator(program, schedule=True).run(
-            edge_instance(program, edges)
-        )
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
+        scheduled = Evaluator(program).run(edge_instance(program, edges))
+        reference = ReferenceEvaluator(program).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
         assert scheduled.stats.strata == 2
         assert scheduled.stats.schedule_fallbacks == 0
 
     def test_dirty_tracking_skips_clean_rules(self):
-        # With semi-naive off, every stratum runs the dirty-tracked naive
-        # loop; the base rule reads only E, so it is clean after step 1
-        # while the recursive rule keeps growing TC.
-        program = program_from_source(TC)
-        edges = [(f"n{i}", f"n{i + 1}") for i in range(6)]
-        scheduled = Evaluator(program, schedule=True, seminaive=False).run(
-            edge_instance(program, edges)
-        )
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
-        assert scheduled.output == reference.output
+        # The ^S stratum is outside the semi-naive fragment, so it runs
+        # the dirty-tracked naive loop; its base rule reads only R and
+        # R_prime, so it is clean after step 1 while the recursive rule
+        # keeps growing the sets.
+        program = program_from_source(REACH)
+        instance = Instance(program.input_schema)
+        for i in range(5):
+            instance.add_relation_member("R", OTuple(A1=f"n{i}", A2=f"n{i + 1}"))
+        scheduled = Evaluator(program).run(instance.copy())
+        reference = ReferenceEvaluator(program).run(instance.copy())
+        assert are_o_isomorphic(scheduled.output, reference.output)
+        assert scheduled.stats.schedule_fallbacks == 0
         assert scheduled.stats.rules_skipped_clean > 0
 
     def test_iql601_fallback_warns_and_matches(self):
+        # The analysis warns (IQL601); evaluation treats the stage as an
+        # ordinary input: no PreflightWarning, one counted fallback.
         program = program_from_source(UNSTRATIFIED)
+        assert any(d.code == "IQL601" for d in analyze(program).warnings)
         edges = [("a", "b"), ("b", "a"), ("b", "c")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            scheduled = Evaluator(program, schedule=True).run(
-                edge_instance(program, edges)
-            )
-        assert any(
-            issubclass(w.category, PreflightWarning) and "IQL601" in str(w.message)
-            for w in caught
-        )
+            scheduled = Evaluator(program).run(edge_instance(program, edges))
+        assert not any(issubclass(w.category, PreflightWarning) for w in caught)
         assert scheduled.stats.schedule_fallbacks == 1
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            edge_instance(program, edges)
-        )
+        reference = ReferenceEvaluator(program).run(edge_instance(program, edges))
         assert scheduled.output == reference.output
 
     def test_scheduled_invention_is_isomorphic(self):
@@ -424,19 +441,17 @@ class TestScheduledEvaluator:
         instance = Instance(program.input_schema)
         for a, b in edges:
             instance.add_relation_member("R", OTuple(A1=a, A2=b))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            scheduled = Evaluator(program, schedule=True).run(instance.copy())
-        reference = Evaluator(program, seminaive=False, indexed=False).run(
-            instance.copy()
-        )
+        scheduled = Evaluator(program).run(instance.copy())
+        reference = ReferenceEvaluator(program).run(instance.copy())
         assert are_o_isomorphic(scheduled.output, reference.output)
         assert scheduled.stats.strata >= 4
 
     def test_schedule_disabled_under_trace(self):
+        # Only the unscheduled reference engine traces.
         program = program_from_source(TC)
-        evaluator = Evaluator(program, schedule=True, trace=True)
-        assert not evaluator.schedule
+        with pytest.raises(TypeError):
+            Evaluator(program, trace=True)
+        assert ReferenceEvaluator(program, trace=True)._schedule is None
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -502,7 +517,7 @@ class TestCli:
         data = tmp_path / "edges.json"
         data.write_text(io.dumps(instance))
         assert (
-            main(["run", tc_path, "--input", str(data), "--schedule", "--stats"])
+            main(["run", tc_path, "--input", str(data), "--stats"])
             == 0
         )
         err = capsys.readouterr().err

@@ -1,28 +1,60 @@
-"""Differential tests: the optimized engine against the reference engine.
+"""Differential tests: every engine that ships against the reference oracle.
 
-``Evaluator(seminaive=False, indexed=False)`` is the executable
-specification — a direct transcription of the paper's inflationary
-one-step operator with generate-and-test joins. The indexed, planned,
-semi-naive engine must agree with it on *every* program: exactly (ground
-facts) when the program is invention-free, up to O-isomorphism when it
-invents oids (invented identities are fresh by construction, so only the
-shape is determined — Section 4.1).
+:class:`~repro.iql.ReferenceEvaluator` is the executable specification —
+a direct transcription of the paper's inflationary one-step operator with
+generate-and-test joins. Every shipped engine must agree with it on every
+program: exactly (ground facts) when the program is invention-free, up to
+O-isomorphism when it invents oids (invented identities are fresh by
+construction, so only the shape is determined — Section 4.1).
 
-The generator below emits random single-stage programs over a fixed
-schema — recursive positive atoms, fully-bound negation, equalities,
-constants, and (in a fifth of the seeds) oid invention — and random
-small input instances. 220 seeds run in a few seconds.
+One harness, :func:`check_engine`, runs an engine from :data:`ENGINES` on
+one seed of a corpus and compares every state the engine reaches with the
+oracle's fixpoint of the same input:
+
+* ``default`` — ``Evaluator(program)``: scheduled, compiled, cost-planned,
+  semi-naive and indexed;
+* ``forced-replan`` — the default engine with
+  :data:`repro.iql.stats.REPLAN_RATIO` at 1.0, so every inexact estimate
+  evicts its plan and recompiles mid-fixpoint (the adversarial schedule
+  for the planner's feedback loop);
+* ``uninterned`` — the default engine over plain structural values, run
+  inside ``interning(False)``;
+* ``ivm`` — :class:`~repro.iql.MaterializedProgram` insert replay:
+  materialize half the input, insert the other half one fact per
+  ``apply_delta`` batch, then apply random insert/delete batches;
+* ``threads`` / ``processes`` — ``Evaluator(parallel=N)`` on each backend.
+
+Both corpora come from one seeded generator over a fixed schema. The
+``plain`` corpus holds single-stage programs — recursive positive atoms,
+fully-bound negation, equalities, constants and, in a fifth of the seeds,
+oid invention. The ``staged`` corpus splits the rules into two stages half
+the time and, in a quarter of the seeds, adds a negation-through-recursion
+rule the scheduler cannot certify (IQL601), so the monolithic fallback
+runs too. 220 seeds per sweep; the sweep functions keep the names (and so
+the per-seed test ids) of the engine variants they once compared.
 """
 
 import random
+import warnings
+from unittest import mock
 
 import pytest
 
-from repro.iql import Evaluator, Program, Rule, Var, atom, columns
+from repro.iql import (
+    Evaluator,
+    MaterializedProgram,
+    Program,
+    ReferenceEvaluator,
+    Rule,
+    Var,
+    atom,
+    columns,
+)
+from repro.iql import stats as planner_stats
 from repro.iql.literals import Equality
 from repro.schema import Instance, Schema, are_o_isomorphic
 from repro.typesys import D, classref, tuple_of
-from repro.values import OTuple
+from repro.values import OTuple, interning
 
 CONSTS = ["a", "b", "c"]
 
@@ -98,45 +130,6 @@ def random_instance(schema, rng):
     return instance
 
 
-def run_differential(seed):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    optimized = (
-        Evaluator(program, seminaive=True, indexed=True).run(instance.copy()).output
-    )
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
-    )
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert optimized == reference, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(optimized, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_optimized_engine_matches_reference(seed):
-    run_differential(seed)
-
-
-# -- the certified scheduler (Evaluator(schedule=True)) ------------------------------
-#
-# Same oracle, different engine: the SCC-stratified scheduler must agree
-# with the monolithic reference on every program — by running the
-# certified strata when the analysis proves the stage re-orderable, and
-# by falling back to the monolithic fixpoint (IQL601 and the other
-# uncertifiable shapes) otherwise. A quarter of the seeds additionally
-# inject a negation-through-recursion rule so the IQL601 fallback path
-# is exercised, and the rule lists are split into two stages half the
-# time so cross-stage liveness and per-stage scheduling both run.
-
-
 def random_scheduled_program(schema, rng, allow_invention, unstratified):
     program = random_program(schema, rng, allow_invention)
     rules = list(program.rules)
@@ -165,195 +158,192 @@ def random_scheduled_program(schema, rng, allow_invention, unstratified):
     )
 
 
-def run_scheduled_differential(seed):
-    import warnings
-
-    from repro.analysis import PreflightWarning
-
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    unstratified = seed % 4 == 1
-    program = random_scheduled_program(schema, rng, allow_invention, unstratified)
-    instance = random_instance(schema, rng)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scheduled_result = Evaluator(program, schedule=True).run(instance.copy())
-    scheduled = scheduled_result.output
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
-    )
-    if unstratified:
-        # The injected rule makes some stage IQL601-unstratifiable: the
-        # scheduler must fall back with a PreflightWarning, not schedule.
-        assert scheduled_result.stats.schedule_fallbacks >= 1, (
-            f"seed {seed}: expected an IQL601 fallback"
-        )
-        assert any(
-            issubclass(w.category, PreflightWarning) and "IQL601" in str(w.message)
-            for w in caught
-        ), f"seed {seed}: missing the IQL601 PreflightWarning"
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert scheduled == reference, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(scheduled, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
+def random_new_fact(base, rng):
+    constants = CONSTS + ["d"]  # sometimes a constant the instance lacks
+    if base == "E":
+        return OTuple(A01=rng.choice(constants), A02=rng.choice(constants))
+    return OTuple(A01=rng.choice(constants))
 
 
-@pytest.mark.parametrize("seed", range(220))
-def test_scheduled_engine_matches_reference(seed):
-    run_scheduled_differential(seed)
-
-
-# -- the rule compiler (Evaluator(compile=True)) -------------------------------------
+# -- the engines that ship -----------------------------------------------------------
 #
-# Same oracle again for the compiled closure kernels. Two thirds of the
-# seeds run the monolithic engine (γ1 kernels + compiled semi-naive
-# where the stage qualifies); the rest run under the certified scheduler
-# so the per-stratum semi-naive loop's delta kernels are exercised too.
-# The generated programs contain none of the fallback constructs, so
-# every rule must actually compile — a silent per-rule fallback would
-# still pass the equivalence check but not the counters.
+# Each engine is a generator over (input instance, full instance, stats)
+# triples: one per state the engine reaches and the oracle must agree with.
 
 
-def run_compiled_differential(seed):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    schedule = seed % 3 == 2
-    result = Evaluator(program, schedule=schedule, compile=True).run(instance.copy())
-    compiled = result.output
-    reference = (
-        Evaluator(program, seminaive=False, indexed=False)
-        .run(instance.copy())
-        .output
+def run_default(program, instance, rng):
+    result = Evaluator(program).run(instance.copy())
+    yield instance, result.full, result.stats
+
+
+def run_forced_replan(program, instance, rng):
+    with mock.patch.object(planner_stats, "REPLAN_RATIO", 1.0):
+        result = Evaluator(program).run(instance.copy())
+    yield instance, result.full, result.stats
+
+
+def run_uninterned(program, instance, rng):
+    with interning(False):
+        result = Evaluator(program).run(instance.copy())
+    yield instance, result.full, result.stats
+
+
+def run_materialized(program, instance, rng):
+    facts = sorted(
+        ((name, value) for name, values in instance.relations.items() for value in values),
+        key=repr,
     )
-    assert result.stats.rules_interpreted == 0, (
-        f"seed {seed}: unexpected compile fallback "
-        f"{result.stats.compile_fallback_reasons}"
-    )
-    assert result.stats.rules_compiled == len(program.rules), f"seed {seed}"
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert compiled == reference, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(compiled, reference), (
-            f"seed {seed}: not O-isomorphic"
-        )
+    half = len(facts) // 2
+    base = Instance(instance.schema)
+    for name, value in facts[:half]:
+        base.add_relation_member(name, value)
+    mp = MaterializedProgram(program, base)
+    yield mp.base.copy(), mp.instance, mp.stats
+    for fact in facts[half:]:
+        mp.apply_delta(inserts=[fact])
+    yield mp.base.copy(), mp.instance, mp.stats
+    for _ in range(3):
+        inserts, deletes = [], []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(["E", "U"])
+            extent = sorted(mp.base.relations[name], key=repr)
+            if extent and rng.random() < 0.4:
+                deletes.append((name, rng.choice(extent)))
+            else:
+                inserts.append((name, random_new_fact(name, rng)))
+        mp.apply_delta(inserts=inserts, deletes=deletes)
+        yield mp.base.copy(), mp.instance, mp.stats
+    assert mp.supports.negative_symbols() == [], "negative support count"
+    assert mp.instance.indexes.equals_rebuild(), "stale indexes"
 
 
-@pytest.mark.parametrize("seed", range(220))
-def test_compiled_engine_matches_reference(seed):
-    run_compiled_differential(seed)
-
-
-# -- the adaptive planner (Evaluator(cost_planning=...)) -----------------------------
-#
-# Join order is the one thing the cost model is allowed to change, so the
-# oracle is the sharpest available: the same optimized engine with the
-# static ranks must agree with the cost-based default on every program.
-# A second sweep sets replan_ratio=1.0 — "any inexact estimate is drift" —
-# which forces mid-fixpoint evictions, feedback-driven replans and (on the
-# compiled seeds) kernel invalidation on as many rounds as the cap allows,
-# the adversarial schedule for the feedback loop.
-
-
-def run_planner_differential(seed, replan_ratio=None):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    program = random_program(schema, rng, allow_invention)
-    instance = random_instance(schema, rng)
-    static = (
-        Evaluator(program, cost_planning=False).run(instance.copy()).output
-    )
-    kwargs = {"compile": seed % 3 == 2}
-    if replan_ratio is not None:
-        kwargs["replan_ratio"] = replan_ratio
-    costed = Evaluator(program, **kwargs).run(instance.copy()).output
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert costed == static, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(costed, static), f"seed {seed}: not O-isomorphic"
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_costed_planner_matches_static(seed):
-    run_planner_differential(seed)
-
-
-@pytest.mark.parametrize("seed", range(220))
-def test_forced_replanning_matches_static(seed):
-    run_planner_differential(seed, replan_ratio=1.0)
-
-
-# -- the certified parallel executor (Evaluator(parallel=N)) -------------------------
-#
-# Same program generator as the scheduled sweep — including the IQL601
-# seeds and the invention seeds, which the IQL8xx certificate forces
-# back to serial (IQL802 or an unscheduled stage) — so the fallback
-# paths are exercised as heavily as the concurrent ones. The oracle is
-# the serial scheduled+compiled engine: for invention-free programs the
-# parallel fact set must be *exactly* equal (concurrent strata write
-# disjoint symbols; partitioned rounds merge into the same inflationary
-# fixpoint); invention seeds compare up to O-isomorphism because batch
-# scheduling may reorder hazard strata of different levels, renaming
-# the (fresh-by-construction) invented oids.
-
-
-def run_parallel_differential(seed, backend="thread", workers=4):
-    import warnings
-
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    unstratified = seed % 4 == 1
-    program = random_scheduled_program(schema, rng, allow_invention, unstratified)
-    instance = random_instance(schema, rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        evaluator = Evaluator(
-            program, parallel=workers, compile=True, backend=backend
-        )
+def run_parallel(backend, workers):
+    def run(program, instance, rng):
+        evaluator = Evaluator(program, parallel=workers, backend=backend)
         try:
-            parallel_result = evaluator.run(instance.copy())
+            result = evaluator.run(instance.copy())
         finally:
             evaluator.close()
-        serial = (
-            Evaluator(program, schedule=True, compile=True)
-            .run(instance.copy())
-            .output
-        )
-    parallel = parallel_result.output
-    if all(rule.is_invention_free() for rule in program.rules):
-        assert parallel == serial, f"seed {seed}: exact disagreement"
-    else:
-        assert are_o_isomorphic(parallel, serial), (
-            f"seed {seed}: not O-isomorphic"
-        )
+        yield instance, result.full, result.stats
+
+    return run
 
 
-@pytest.mark.parametrize("seed", range(220))
-def test_parallel_engine_matches_serial(seed):
-    run_parallel_differential(seed)
+ENGINES = {
+    "default": run_default,
+    "forced-replan": run_forced_replan,
+    "uninterned": run_uninterned,
+    "ivm": run_materialized,
+    "threads": run_parallel("thread", 4),
+    "processes": run_parallel("process", 2),
+}
 
 
-def run_process_differential(seed):
-    """One seed of the shared-nothing sweep: 2 process workers vs serial.
+def check_engine(engine, seed, staged=False):
+    """Run ``ENGINES[engine]`` on one corpus seed against the oracle.
 
-    Exactness is the interesting bit: a worker's derivations cross a
-    pickling boundary and must re-canonicalize into the coordinator's
-    intern store with oid identity intact — any leak shows up here as an
-    equality (or isomorphism) failure. The CI smoke runs seeds 0..39 of
-    this function; tier-1 runs all 220.
+    Returns the program and the stats of the engine's last state.
     """
-    run_parallel_differential(seed, backend="process", workers=2)
+    rng = random.Random(seed)
+    schema = make_schema()
+    allow_invention = seed % 5 == 0
+    if staged:
+        program = random_scheduled_program(
+            schema, rng, allow_invention, unstratified=seed % 4 == 1
+        )
+    else:
+        program = random_program(schema, rng, allow_invention)
+    instance = random_instance(schema, rng)
+    invention_free = all(rule.is_invention_free() for rule in program.rules)
+    stats = None
+    with warnings.catch_warnings():
+        # IQL801-803 serial fallbacks of the parallel engines warn.
+        warnings.simplefilter("ignore")
+        for state, (base, full, stats) in enumerate(ENGINES[engine](program, instance, rng)):
+            expected = ReferenceEvaluator(program).run(base.copy()).full
+            where = f"{engine} seed {seed} state {state}"
+            if invention_free:
+                assert full.ground_facts() == expected.ground_facts(), (
+                    f"{where}: exact disagreement"
+                )
+            else:
+                assert are_o_isomorphic(full, expected), f"{where}: not O-isomorphic"
+    return program, stats
 
 
-@pytest.mark.parametrize("seed", range(220))
+# -- the sweeps ----------------------------------------------------------------------
+
+SEEDS = range(220)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_optimized_engine_matches_reference(seed):
+    """The default engine; the plain corpus has no fallback construct, so
+    every rule must run as a compiled kernel."""
+    program, stats = check_engine("default", seed)
+    assert stats.rules_interpreted == 0, stats.compile_fallback_reasons
+    assert stats.rules_compiled == len(program.rules)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scheduled_engine_matches_reference(seed):
+    """The default engine on staged programs, including IQL601 fallbacks."""
+    program, stats = check_engine("default", seed, staged=True)
+    if seed % 4 == 1:
+        assert stats.schedule_fallbacks >= 1, "expected an IQL601 fallback"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_engine_matches_reference(seed):
+    """Insert replay through the compiled delta kernels of incremental
+    maintenance, on the plain corpus."""
+    check_engine("ivm", seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_costed_planner_matches_static(seed):
+    """Forced replanning on the staged corpus."""
+    check_engine("forced-replan", seed, staged=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_forced_replanning_matches_static(seed):
+    """Forced replanning on the plain corpus."""
+    check_engine("forced-replan", seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parallel_engine_matches_serial(seed):
+    """The thread backend, 4 workers, on the staged corpus."""
+    check_engine("threads", seed, staged=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_process_engine_matches_serial(seed):
-    run_process_differential(seed)
+    """The process backend, 2 workers, on the staged corpus.
+
+    A worker's derivations cross a pickling boundary and must
+    re-canonicalize into the coordinator's intern store with oid identity
+    intact; any leak shows up as an equality (or isomorphism) failure.
+    """
+    check_engine("processes", seed, staged=True)
+
+
+def main(argv=None):
+    """``python -m tests.test_differential ENGINE [--staged] [--seeds N]``:
+    run one engine's sweep outside pytest (the CI smoke entry point)."""
+    import argparse
+
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("engine", choices=sorted(ENGINES))
+    parser.add_argument("--staged", action="store_true")
+    parser.add_argument("--seeds", type=int, default=len(SEEDS))
+    args = parser.parse_args(argv)
+    for seed in range(args.seeds):
+        check_engine(args.engine, seed, staged=args.staged)
+    corpus = "staged" if args.staged else "plain"
+    print(f"{args.engine}: {args.seeds} {corpus} seeds agree with the reference engine")
+
+
+if __name__ == "__main__":
+    main()

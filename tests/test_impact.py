@@ -52,9 +52,9 @@ from repro.values import OTuple, Oid
 from repro.__main__ import main
 
 from tests.test_differential import (
-    CONSTS,
     make_schema,
     random_instance,
+    random_new_fact,
     random_scheduled_program,
 )
 
@@ -591,13 +591,6 @@ class TestImpactCli:
 #   *certified* insert must replay to the same instance as a fresh full
 #   evaluation (exact when the program is invention-free, up to
 #   O-isomorphism otherwise).
-
-
-def random_new_fact(base, rng):
-    constants = CONSTS + ["d"]  # sometimes a constant the instance lacks
-    if base == "E":
-        return OTuple(A01=rng.choice(constants), A02=rng.choice(constants))
-    return OTuple(A01=rng.choice(constants))
 
 
 def run_certificate_soundness(seed):

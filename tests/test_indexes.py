@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import database_to_instance, datalog_to_iql, transitive_closure_program
-from repro.iql import Evaluator, Membership, Var, atom, columns
+from repro.iql import (
+    Evaluator,
+    Membership,
+    Program,
+    ReferenceEvaluator,
+    Rule,
+    Var,
+    atom,
+    columns,
+)
 from repro.iql.indexes import InstanceIndexes
 from repro.iql.valuation import match
 from repro.schema import Instance, Schema
@@ -131,12 +140,38 @@ class TestConstantsCache:
 
 class TestEvaluatorStats:
     def test_stats_surface_index_activity(self):
+        # Compiled kernels resolve their probes at compile time and do not
+        # count them: TC runs fully compiled and reports no probes.
         dprog = transitive_closure_program()
         program = datalog_to_iql(dprog)
         instance = database_to_instance(
             dprog, {"E": set(path_graph(8))}, names=dprog.edb
         )
-        stats = Evaluator(program, seminaive=True, indexed=True).run(instance).stats
+        stats = Evaluator(program).run(instance).stats
+        assert stats.rules_compiled == len(program.rules)
+        assert stats.index_probes == 0
+        assert stats.plan_cache_misses >= 1
+        # A deletion rule always runs interpreted, so its body join (scan
+        # Kill, probe R on the bound key) reports the probes.
+        schema = Schema(relations={"R": columns(D, D), "Kill": D})
+        x, y = Var("x", D), Var("y", D)
+        program = Program(
+            schema,
+            rules=[
+                Rule(
+                    atom(schema, "R", x, y),
+                    [atom(schema, "R", x, y), atom(schema, "Kill", x)],
+                    delete=True,
+                )
+            ],
+            input_names=["R", "Kill"],
+            output_names=["R"],
+        )
+        rows = [OTuple(A01=f"n{i}", A02=f"n{i + 1}") for i in range(8)]
+        instance = Instance(schema, relations={"R": rows, "Kill": ["n3"]})
+        stats = Evaluator(program).run(instance).stats
+        assert stats.compile_fallback_reasons == {"deletion": 1}
+        assert stats.facts_deleted == 1
         assert stats.index_probes > 0
         assert stats.index_scans_avoided > 0
         assert stats.plan_cache_hits > 0
@@ -148,7 +183,7 @@ class TestEvaluatorStats:
         instance = database_to_instance(
             dprog, {"E": set(path_graph(8))}, names=dprog.edb
         )
-        stats = Evaluator(program, seminaive=False, indexed=False).run(instance).stats
+        stats = ReferenceEvaluator(program).run(instance).stats
         assert stats.index_probes == 0
         assert stats.index_scans_avoided == 0
 

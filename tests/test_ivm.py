@@ -9,34 +9,29 @@ Three layers, mirroring the other engine test files:
 * the :class:`~repro.iql.supports.SupportTable` storage layer and the
   memoized :func:`~repro.analysis.maintenance.validate_certificate`
   front door,
-* a differential property test over the same 220-seed corpus as
-  ``test_differential``: after every update batch the maintained
-  instance must equal a fresh full evaluation of the maintained base
-  (exactly when invention-free, up to O-isomorphism otherwise), with
-  the PR-6 ``replay_insert`` oracle cross-checked on certified inserts
-  and the index/support invariants re-verified at the end.
+* the ``ivm`` engine of the differential harness in
+  ``test_differential`` over the staged 220-seed corpus: after every
+  update batch the maintained instance must equal the reference
+  engine's evaluation of the maintained base (exactly when
+  invention-free, up to O-isomorphism otherwise), with the
+  index/support invariants re-verified at the end.
 """
 
-import random
 import warnings
 
 import pytest
 
 from repro.analysis import build_certificates, replay_insert, validate_certificate
 from repro.errors import EvaluationError
-from repro.iql import Evaluator, MaterializedProgram
+from repro.iql import Evaluator, EvaluatorLimits, MaterializedProgram, ReferenceEvaluator
 from repro.iql.supports import SupportTable
 from repro.parser import program_from_source
-from repro.schema import Instance, are_o_isomorphic
+from repro.schema import Instance
 from repro.values import Oid, OTuple
 from repro.__main__ import main
 
-from tests.test_differential import (
-    make_schema,
-    random_instance,
-    random_scheduled_program,
-)
-from tests.test_impact import E19_PROGRAM, random_new_fact
+from tests.test_differential import check_engine
+from tests.test_impact import E19_PROGRAM
 
 
 def materialize(program, instance, **kwargs):
@@ -173,13 +168,45 @@ class TestE19Paths:
         instance = Instance(program.input_schema)
         for i in range(4):
             instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
-        mp = materialize(
-            program, instance, evaluator=Evaluator(program, seminaive=False)
-        )
+        mp = materialize(program, instance, evaluator=ReferenceEvaluator(program))
         mp.apply_delta(inserts=[("E", edge("n4", "n0"))])
         mp.apply_delta(deletes=[("E", edge("n1", "n2"))])
         assert_matches_fresh(mp)
         assert mp.supports.negative_symbols() == []
+
+
+TC_PROGRAM = """
+schema {
+  relation E: [A1: D, A2: D];
+  relation T: [A1: D, A2: D];
+}
+var x, y, z: D
+input E
+output T
+rules {
+  T(x, y) :- E(x, y).
+  T(x, z) :- T(x, y), E(y, z).
+}
+"""
+
+
+class TestStepBudget:
+    def test_max_steps_is_charged_per_batch(self):
+        # Each batch re-derives the chain in a few rounds; charged against
+        # a running total, 40 steps ran out within a handful of cycles.
+        program = program_from_source(TC_PROGRAM)
+        instance = Instance(program.input_schema)
+        for i in range(10):
+            instance.add_relation_member("E", edge(f"n{i}", f"n{i + 1}"))
+        evaluator = Evaluator(program, limits=EvaluatorLimits(max_steps=40))
+        mp = materialize(program, instance, evaluator=evaluator)
+        first = edge("n0", "n1")
+        for _ in range(200):
+            mp.apply_delta(deletes=[("E", first)])
+            mp.apply_delta(inserts=[("E", first)])
+        assert mp.stats.steps > 40  # the cumulative counter keeps counting
+        assert len(mp.instance.relations["T"]) == 55
+        assert_matches_fresh(mp)
 
 
 class TestSupportTable:
@@ -303,70 +330,11 @@ class TestMaintainCLI:
 
 
 # -- the 220-seed differential ------------------------------------------------------
-#
-# Same corpus and conventions as test_differential / test_impact: a fifth
-# of the seeds invent oids, a quarter inject negation-through-recursion
-# (forcing the scheduler fallback, inexact supports, and the DRed/demoted
-# paths). The oracle after every batch is a fresh full evaluation of the
-# maintained base input; certified single-fact inserts are additionally
-# cross-checked against the PR-6 replay_insert oracle.
-
-
-def random_batch(mp, rng):
-    inserts, deletes = [], []
-    for _ in range(rng.randint(1, 3)):
-        base = rng.choice(["E", "U"])
-        extent = sorted(mp.base.relations[base], key=repr)
-        if extent and rng.random() < 0.4:
-            deletes.append((base, rng.choice(extent)))
-        else:
-            inserts.append((base, random_new_fact(base, rng)))
-    return inserts, deletes
-
-
-def run_ivm_differential(seed):
-    rng = random.Random(seed)
-    schema = make_schema()
-    allow_invention = seed % 5 == 0
-    unstratified = seed % 4 == 1
-    program = random_scheduled_program(schema, rng, allow_invention, unstratified)
-    instance = random_instance(schema, rng)
-    invention_free = all(rule.is_invention_free() for rule in program.rules)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mp = MaterializedProgram(program, instance)
-
-        cert = mp.certificates[("E", "insert")]
-        if cert.certified and ("E", "insert") not in mp._violations:
-            fact = random_new_fact("E", rng)
-            if fact not in mp.instance.relations["E"]:
-                expected = replay_insert(program, mp.instance, cert, fact)
-                mp.apply_delta(inserts=[("E", fact)])
-                if invention_free:
-                    assert (
-                        mp.instance.ground_facts() == expected.ground_facts()
-                    ), f"seed {seed}: apply_delta diverges from replay_insert"
-                else:
-                    assert are_o_isomorphic(mp.instance, expected), (
-                        f"seed {seed}: apply_delta not O-isomorphic to replay"
-                    )
-
-        for batch in range(3):
-            inserts, deletes = random_batch(mp, rng)
-            mp.apply_delta(inserts=inserts, deletes=deletes)
-            fresh = Evaluator(program).run(mp.base.copy()).full
-            if invention_free:
-                assert mp.instance.ground_facts() == fresh.ground_facts(), (
-                    f"seed {seed}, batch {batch}: exact disagreement"
-                )
-            else:
-                assert are_o_isomorphic(mp.instance, fresh), (
-                    f"seed {seed}, batch {batch}: not O-isomorphic"
-                )
-        assert mp.supports.negative_symbols() == [], f"seed {seed}: negative support"
-        assert mp.instance.indexes.equals_rebuild(), f"seed {seed}: stale indexes"
 
 
 @pytest.mark.parametrize("seed", range(220))
 def test_ivm_matches_full_reevaluation(seed):
-    run_ivm_differential(seed)
+    """Insert replay plus random insert/delete batches on the staged corpus,
+    every state checked against the reference engine (see
+    ``tests.test_differential``)."""
+    check_engine("ivm", seed, staged=True)

@@ -16,7 +16,18 @@ from repro.datalog import (
     same_generation_program,
     transitive_closure_program,
 )
-from repro.iql import Choose, Evaluator, Membership, NameTerm, Program, Rule, Var, atom, columns
+from repro.iql import (
+    Choose,
+    Evaluator,
+    Membership,
+    NameTerm,
+    Program,
+    ReferenceEvaluator,
+    Rule,
+    Var,
+    atom,
+    columns,
+)
 from repro.iql.seminaive import stage_eligible
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, set_of, tuple_of
@@ -24,8 +35,8 @@ from repro.workloads import parent_forest, path_graph, random_graph, transitive_
 
 
 def run_both(program, instance):
-    semi = Evaluator(program, seminaive=True).run(instance.copy()).output
-    naive = Evaluator(program, seminaive=False).run(instance.copy()).output
+    semi = Evaluator(program).run(instance.copy()).output
+    naive = ReferenceEvaluator(program).run(instance.copy()).output
     return semi, naive
 
 
@@ -63,7 +74,7 @@ class TestEquivalence:
         program = datalog_to_iql(dprog)
         edges = path_graph(6)
         instance = database_to_instance(dprog, {"E": set(edges)}, names=dprog.edb)
-        result = Evaluator(program, seminaive=True).run(instance)
+        result = Evaluator(program).run(instance)
         assert result.stats.per_stage_steps and result.stats.per_stage_steps[0] >= 2
         assert result.stats.facts_added == len(transitive_closure(edges))
 
@@ -190,5 +201,6 @@ class TestTraceDisablesSeminaive:
     def test_tracing_forces_naive(self):
         dprog = transitive_closure_program()
         program = datalog_to_iql(dprog)
-        evaluator = Evaluator(program, trace=True, seminaive=True)
-        assert evaluator.seminaive is False
+        with pytest.raises(TypeError):
+            Evaluator(program, trace=True)
+        assert ReferenceEvaluator(program, trace=True).seminaive is False

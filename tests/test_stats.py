@@ -7,6 +7,7 @@ import pytest
 from repro import io
 from repro.iql import (
     Evaluator,
+    ReferenceEvaluator,
     Statistics,
     atom,
     check_drift,
@@ -15,6 +16,7 @@ from repro.iql import (
     make_vars,
     plan_body,
 )
+from repro.iql import stats as planner_stats
 from repro.iql.stats import MAX_REPLANS
 from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema
@@ -118,23 +120,24 @@ class TestCostedPlans:
             atom(schema, "C", y),
         )
 
-    def test_static_plan_probes_the_skewed_attribute(self):
+    def test_small_skew_bucket_is_probed(self):
+        # At |B| = 200 the skewed B probe (bucket 20) still beats the
+        # 50-row C scan.
         schema = skew_schema()
         instance = skew_instance(schema)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=False)
+        plan = plan_body(self.body(schema), frozenset(), instance)
         kinds = [(step[0], step[1].container.name) for step in plan]
         assert kinds == [("member", "A"), ("member", "B"), ("filter", "C")]
-        assert plan.estimates is None
 
     def test_costed_plan_joins_the_selective_relation_first(self):
         schema = skew_schema()
         # Big enough that the B probe's skew bucket (|B|/10 = 200) dwarfs
-        # the 50-row C scan; at small |B| both planners agree B-first.
+        # the 50-row C scan.
         instance = skew_instance(schema, b_rows=2000)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=True)
+        plan = plan_body(self.body(schema), frozenset(), instance)
         kinds = [(step[0], step[1].container.name) for step in plan]
         assert kinds == [("member", "A"), ("member", "C"), ("filter", "B")]
-        assert plan.estimates is not None and len(plan.estimates) == 3
+        assert len(plan.estimates) == 3
         assert plan.counts == [0, 0, 0, 0]
 
     def test_observed_fanouts_override_the_model(self):
@@ -148,7 +151,6 @@ class TestCostedPlans:
             self.body(schema),
             frozenset(),
             instance,
-            costed=True,
             observed=observed,
             replans=1,
         )
@@ -159,7 +161,7 @@ class TestCostedPlans:
     def test_describe_plan_renders_estimates(self):
         schema = skew_schema()
         instance = skew_instance(schema)
-        plan = plan_body(self.body(schema), frozenset(), instance, costed=True)
+        plan = plan_body(self.body(schema), frozenset(), instance)
         lines = describe_plan(plan)
         assert len(lines) == 3
         assert any("scan" in line for line in lines)
@@ -188,22 +190,29 @@ def tc_instance(program, n=12):
     return instance
 
 
+@pytest.fixture
+def forced_replans(monkeypatch):
+    """REPLAN_RATIO = 1.0 treats every inexact estimate as drift."""
+    monkeypatch.setattr(planner_stats, "REPLAN_RATIO", 1.0)
+
+
 class TestFeedbackLoop:
-    def test_forced_replan_preserves_answers(self):
-        """replan_ratio=1.0 treats every inexact estimate as drift, so the
-        engine replans as hard as it can — and must change nothing."""
+    def test_forced_replan_preserves_answers(self, forced_replans):
+        """The compiled engine replans as hard as it can — and must change
+        nothing."""
         program = program_from_source(TC_PROGRAM)
         instance = tc_instance(program)
-        static = Evaluator(program, cost_planning=False).run(instance.copy())
-        adaptive = Evaluator(program, replan_ratio=1.0).run(instance.copy())
-        assert adaptive.output == static.output
+        reference = ReferenceEvaluator(program).run(instance.copy())
+        adaptive = Evaluator(program).run(instance.copy())
+        assert adaptive.output == reference.output
+        assert adaptive.stats.rules_compiled == len(program.rules)
         assert adaptive.stats.plan_replans >= 1
         assert adaptive.stats.estimate_drifts >= adaptive.stats.plan_replans
 
-    def test_replans_are_capped(self):
+    def test_replans_are_capped(self, forced_replans):
         program = program_from_source(TC_PROGRAM)
         instance = tc_instance(program, n=24)
-        result = Evaluator(program, replan_ratio=1.0).run(instance.copy())
+        result = Evaluator(program).run(instance.copy())
         for rule in program.rules:
             feedback = rule._feedback_cache
             if feedback:
@@ -212,10 +221,10 @@ class TestFeedbackLoop:
         # one recursive rule drives the loop; the cap bounds total evictions
         assert result.stats.plan_replans <= MAX_REPLANS * 2 * len(program.rules)
 
-    def test_drift_records_feedback_and_evicts(self):
+    def test_drift_records_feedback_and_evicts(self, forced_replans):
         program = program_from_source(TC_PROGRAM)
         instance = tc_instance(program)
-        Evaluator(program, replan_ratio=1.0).run(instance.copy())
+        Evaluator(program).run(instance.copy())
         drifted = [r for r in program.rules if r._feedback_cache]
         assert drifted
         for rule in drifted:
@@ -223,24 +232,15 @@ class TestFeedbackLoop:
                 assert entry["fanouts"]  # measured fan-outs, keyed for reuse
                 assert entry["replans"] >= 1
 
-    def test_compiled_adaptive_matches_static(self):
-        program = program_from_source(TC_PROGRAM)
-        instance = tc_instance(program)
-        static = Evaluator(program, cost_planning=False).run(instance.copy())
-        adaptive = Evaluator(program, compile=True, replan_ratio=1.0).run(
-            instance.copy()
-        )
-        assert adaptive.output == static.output
-        assert adaptive.stats.plan_replans >= 1
-
-    def test_check_drift_without_counts_is_a_no_op(self):
+    def test_check_drift_without_counts_is_a_no_op(self, monkeypatch):
         program = program_from_source(TC_PROGRAM)
         instance = tc_instance(program)
         result = Evaluator(program).run(instance.copy())
-        # plans exist and are counted, but with the default 10x tolerance
-        # this tiny chain produces no actionable drift a second time around
+        # plans exist and are counted, but at a 1e9x tolerance this tiny
+        # chain produces no actionable drift a second time around
         before = result.stats.plan_replans
-        evicted = check_drift(program.rules, result.stats, ratio=1e9)
+        monkeypatch.setattr(planner_stats, "REPLAN_RATIO", 1e9)
+        evicted = check_drift(program.rules, result.stats)
         assert evicted == 0
         assert result.stats.plan_replans == before
 
@@ -291,27 +291,10 @@ class TestCli:
         program, data = files
         assert main(["run", str(program), "--input", str(data), "--stats"]) == 0
         err = capsys.readouterr().err
-        assert "plans costed         1" in err
+        # The compiled semi-naive kernels plan the full body once and the
+        # rest of the body once per relation position: 1 + 3 plans.
+        assert "plans costed         4" in err
         assert "plan replans" in err
-
-    def test_run_static_plans_flag(self, files, capsys):
-        from repro.__main__ import main
-
-        program, data = files
-        assert (
-            main(
-                [
-                    "run",
-                    str(program),
-                    "--input",
-                    str(data),
-                    "--static-plans",
-                    "--stats",
-                ]
-            )
-            == 0
-        )
-        assert "plans costed         0" in capsys.readouterr().err
 
     def test_analyze_plans_renders_costed_plans(self, files, capsys):
         from repro.__main__ import main

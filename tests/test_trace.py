@@ -1,7 +1,7 @@
 """Tests for evaluation tracing (derivation logs)."""
 
 
-from repro.iql import Evaluator
+from repro.iql import ReferenceEvaluator
 from repro.transform import graph_instance, graph_to_class_program
 from repro.schema import Instance, Schema
 from repro.iql import Program, Rule, Var, atom, columns, Equality, TupleTerm, typecheck_program
@@ -11,12 +11,12 @@ from repro.values import Oid, OTuple
 
 class TestTrace:
     def test_disabled_by_default(self):
-        evaluator = Evaluator(graph_to_class_program())
+        evaluator = ReferenceEvaluator(graph_to_class_program())
         result = evaluator.run(graph_instance({("a", "b")}))
         assert result.trace is None
 
     def test_events_cover_facts_and_inventions(self):
-        evaluator = Evaluator(graph_to_class_program(), trace=True)
+        evaluator = ReferenceEvaluator(graph_to_class_program(), trace=True)
         result = evaluator.run(graph_instance({("a", "b")}))
         kinds = {e.kind for e in result.trace}
         assert {"fact", "invent", "assign"} <= kinds
@@ -24,7 +24,7 @@ class TestTrace:
         assert len(invented) == result.stats.oids_invented
 
     def test_rule_labels_appear(self):
-        evaluator = Evaluator(graph_to_class_program(), trace=True)
+        evaluator = ReferenceEvaluator(graph_to_class_program(), trace=True)
         result = evaluator.run(graph_instance({("a", "b")}))
         labels = {e.rule for e in result.trace}
         assert "invent" in labels and "(★)" in labels
@@ -55,12 +55,12 @@ class TestTrace:
         inst.add_relation_member("Seed", OTuple(A01="k", A02=o))
         inst.add_relation_member("V", "v1")
         inst.add_relation_member("V", "v2")
-        result = Evaluator(program, trace=True).run(inst)
+        result = ReferenceEvaluator(program, trace=True).run(inst)
         conflicts = [e for e in result.trace if e.kind == "ignore"]
         assert conflicts and "conflicting" in conflicts[0].detail
 
     def test_repr_is_readable(self):
-        evaluator = Evaluator(graph_to_class_program(), trace=True)
+        evaluator = ReferenceEvaluator(graph_to_class_program(), trace=True)
         result = evaluator.run(graph_instance({("a", "b")}))
         line = repr(result.trace[0])
         assert line.startswith("[step ")
