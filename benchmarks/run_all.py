@@ -24,9 +24,7 @@ import os
 import sys
 import time
 
-#: experiment id → bench entry point, as ``module`` or ``module:function``
-#: (default function: ``main``). Two ids may share a module when one sweep
-#: produces two series (E22/E22p: thread vs process backend).
+#: experiment id → bench module (its ``main`` is the entry point).
 EXPERIMENTS = {
     "E1": "bench_instances",
     "E1b": "bench_isomorphism",
@@ -46,15 +44,14 @@ EXPERIMENTS = {
     "E19": "bench_scheduling",
     "E20": "bench_ivm",
     "E21": "bench_planner",
-    "E22": "bench_parallel",
-    "E22p": "bench_parallel:main_process",
+    "E22p": "bench_parallel",
 }
 
 #: Host-gated experiments and the executor backend their series records.
 #: Their numbers scale with the host's usable CPUs, so compare.py skips
 #: them across hosts with different CPU counts instead of warning
 #: spuriously (e.g. a 1-CPU CI runner diffed against a 4-CPU dev box).
-HOST_GATED_BACKENDS = {"E22": "thread", "E22p": "process"}
+HOST_GATED_BACKENDS = {"E22p": "process"}
 
 
 def usable_cpus() -> int:
@@ -101,13 +98,11 @@ def main(argv) -> int:
             # inside a *later* experiment's timed region. Collect at the
             # boundary so each sweep starts with a clean heap.
             gc.collect()
-            module_name, _, func_name = module_name.partition(":")
             module = importlib.import_module(module_name)
-            entry = getattr(module, func_name or "main")
             if args.smoke and hasattr(module, "SMOKE_SIZES"):
-                series = entry(sizes=module.SMOKE_SIZES)
+                series = module.main(sizes=module.SMOKE_SIZES)
             else:
-                series = entry()
+                series = module.main()
             merged = trajectory.setdefault(exp_id, {})
             for k, v in (series or {}).items():
                 key = str(k)

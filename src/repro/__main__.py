@@ -331,7 +331,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             limits=limits,
             choose_mode=args.choose_mode,
             parallel=args.parallel,
-            backend=args.backend,
         )
     try:
         result = evaluator.run(instance)
@@ -384,8 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"  strata               {stats.strata}\n"
             f"  rules skipped clean  {stats.rules_skipped_clean}\n"
             f"  schedule fallbacks   {stats.schedule_fallbacks}\n"
-            f"  parallel workers     {stats.parallel_workers}"
-            f"{' (' + stats.parallel_backend + ')' if stats.parallel_backend else ''}\n"
+            f"  parallel workers     {stats.parallel_workers}\n"
             f"  parallel strata      {stats.parallel_strata}\n"
             f"  parallel partitioned {stats.parallel_partitioned}\n"
             f"  parallel tasks       {stats.parallel_tasks}\n"
@@ -650,17 +648,9 @@ def main(argv=None) -> int:
         default=0,
         metavar="N",
         help="run certified stratum batches and partitioned delta rounds "
-        "on N workers, or 'auto' for the host's usable CPUs clamped by "
+        "on N worker processes, or 'auto' for the host's usable CPUs clamped by "
         "the certified width (serial fallback with a PreflightWarning on "
         "any IQL801-803; ignored with --naive)",
-    )
-    p_run.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="parallel worker backend: shared-memory threads, or "
-        "shared-nothing processes with per-worker interning and "
-        "merge-time re-canonicalization (default: thread)",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -131,15 +131,12 @@ class EvaluationStats:
     rederived: int = 0
     maintenance_fallbacks: int = 0
     # Certified parallel execution (Evaluator(parallel=N), repro.iql.parexec):
-    # the pool size used, the driver backend ("thread" or "process"),
-    # strata run on concurrent workers, strata run with partitioned delta
-    # rounds, worker tasks submitted, and strata the certificate forced
-    # back to serial (IQL801/802 fallbacks seen at run time). NOTE: when
-    # workers run concurrently, counters shared with the compiler
-    # (rules_compiled, compile_time) can under-count — they are
-    # observability, not semantics.
+    # the worker-process pool size used, strata run on concurrent workers,
+    # strata run with partitioned delta rounds, worker tasks submitted, and
+    # strata the certificate forced back to serial (IQL801/802 fallbacks
+    # seen at run time). Worker counters are folded in at each barrier;
+    # wall times (compile_time) become summed task times.
     parallel_workers: int = 0
-    parallel_backend: str = ""
     parallel_strata: int = 0
     parallel_partitioned: int = 0
     parallel_tasks: int = 0
@@ -204,9 +201,9 @@ class Evaluator:
       outputs for the same input need not be O-isomorphic.
 
     ``parallel=N`` runs certified stratum batches and partitioned delta
-    rounds on an N-worker pool (:mod:`repro.analysis.parallel`,
-    :mod:`repro.iql.parexec`); ``backend`` picks shared-memory threads or
-    shared-nothing processes. ``parallel="auto"`` sizes the pool to the
+    rounds on a persistent pool of N shared-nothing worker processes
+    (:mod:`repro.analysis.parallel`, :mod:`repro.iql.parexec`), built on
+    the first run that needs it. ``parallel="auto"`` sizes the pool to the
     host's usable CPUs, clamped by the certificate's certified width (the
     IQL804 bound — more workers than independent strata/partitions cannot
     be used).
@@ -226,12 +223,9 @@ class Evaluator:
         seed: int = 0,
         preflight: bool = False,
         parallel: Union[int, str] = 0,
-        backend: str = "thread",
     ):
         if choose_mode not in ("verify", "trusted", "nondeterministic"):
             raise EvaluationError(f"unknown choose_mode {choose_mode!r}")
-        if backend not in ("thread", "process"):
-            raise EvaluationError(f"unknown parallel backend {backend!r}")
         self.program = program
         if preflight:
             self._preflight(program)
@@ -240,12 +234,11 @@ class Evaluator:
         self.choose_mode = choose_mode
         self._rng = random.Random(seed)
         self._trace: Optional[List[TraceEvent]] = None
-        self.backend = backend
         self.parallel = 0
         self._schedule = None
         self._compiler = None
         self._parallel_certificate = None
-        self._driver = None  # persistent pool (process backend), lazily built
+        self._driver = None  # the persistent worker-process pool, lazily built
         self._build_engine(parallel)
 
     def _build_engine(self, parallel: Union[int, str]) -> None:
@@ -276,9 +269,7 @@ class Evaluator:
         # disables the pool outright; per-stratum IQL801/802 hazards stay
         # in the certificate and fall back serial at run time, each
         # announced here as a PreflightWarning.
-        certificate = build_parallel_certificate(
-            self.program, schedule=self._schedule, backend=self.backend
-        )
+        certificate = build_parallel_certificate(self.program, schedule=self._schedule)
         violations = validate_parallel_certificate(self.program, certificate)
         for diag in parallel_pass(self.program, certificate=certificate):
             if diag.code in ("IQL801", "IQL802", "IQL803"):
@@ -344,32 +335,27 @@ class Evaluator:
         if self._parallel_certificate is not None and self.parallel > 1:
             driver = self._acquire_driver()
             stats.parallel_workers = self.parallel
-            stats.parallel_backend = self.backend
-        try:
-            for index, stage in enumerate(self.program.stages):
-                plan = self._schedule.stages[index] if self._schedule else None
-                if plan is not None and plan.scheduled:
-                    if driver is not None:
-                        self._run_stage_parallel(
-                            working,
-                            index,
-                            plan.strata,
-                            self._parallel_certificate.stages[index],
-                            stats,
-                            driver,
-                        )
-                    else:
-                        self._run_stage_scheduled(working, plan.strata, stats)
+        for index, stage in enumerate(self.program.stages):
+            plan = self._schedule.stages[index] if self._schedule else None
+            if plan is not None and plan.scheduled:
+                if driver is not None:
+                    self._run_stage_parallel(
+                        working,
+                        index,
+                        plan.strata,
+                        self._parallel_certificate.stages[index],
+                        stats,
+                        driver,
+                    )
                 else:
-                    if plan is not None:
-                        stats.schedule_fallbacks += 1
-                        if driver is not None:
-                            stats.parallel_fallbacks += 1
-                    self._run_stage(working, list(stage), stats)
-            output = working.project(self.program.output_schema)
-        finally:
-            if driver is not None:
-                driver.release()
+                    self._run_stage_scheduled(working, plan.strata, stats)
+            else:
+                if plan is not None:
+                    stats.schedule_fallbacks += 1
+                    if driver is not None:
+                        stats.parallel_fallbacks += 1
+                self._run_stage(working, list(stage), stats)
+        output = working.project(self.program.output_schema)
         hits1, misses1, fast1 = intern.counters()
         stats.intern_hits = hits1 - hits0
         stats.intern_misses = misses1 - misses0
@@ -640,16 +626,13 @@ class Evaluator:
         return steps_total
 
     def _acquire_driver(self):
-        """The run's parallel driver: per-run thread pool, or the
-        Evaluator's persistent process pool (built on first use — the
-        program and options cross to the workers once, here)."""
-        from repro.iql.parexec import create_driver
+        """The Evaluator's persistent worker-process pool, built on first
+        use — the program and limits cross to the workers once, here."""
+        from repro.iql.parexec import ProcessDriver
 
-        if self.backend == "process":
-            if self._driver is None:
-                self._driver = create_driver("process", self, self.parallel)
-            return self._driver
-        return create_driver("thread", self, self.parallel)
+        if self._driver is None:
+            self._driver = ProcessDriver(self, self.parallel)
+        return self._driver
 
     def close(self) -> None:
         """Tear down the persistent process worker pool, if any.
@@ -680,10 +663,8 @@ class Evaluator:
         per-task stats merged at the barrier); a singleton batch whose
         stratum is certified-partitionable runs split delta rounds; every
         other singleton — hazard strata included — runs the plain serial
-        path, counted as a parallel fallback. Whether a worker is a
-        thread over the shared instance or a process over a shipped
-        replica is entirely the ``driver``'s concern
-        (:func:`repro.iql.parexec.create_driver`).
+        path, counted as a parallel fallback. Workers are processes over
+        shipped instance replicas (:class:`repro.iql.parexec.ProcessDriver`).
         """
         from repro.analysis.parallel import concurrent_batches
         from repro.iql.seminaive import stage_eligible

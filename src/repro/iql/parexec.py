@@ -3,60 +3,53 @@
 This module is the *load-bearing* half of the IQL8xx analysis
 (:mod:`repro.analysis.parallel`): the evaluator executes exactly the
 concurrency the :class:`~repro.analysis.parallel.ParallelCertificate`
-certifies and nothing more, through one of two drivers behind a common
-interface (:func:`create_driver`):
+certifies and nothing more, through one driver,
+:class:`ProcessDriver` — shared-nothing ``multiprocessing`` workers
+(fork where available, spawn-safe otherwise), one persistent pool per
+:class:`~repro.iql.evaluator.Evaluator`. The program crosses once at
+pool creation; each episode ships the instance state, and within an
+episode only fact deltas cross, in the compact node-table wire encoding
+of :mod:`repro.io`. Every worker runs its own process-local hash-consing
+store, compiles its own kernels against its own instance replica, and
+the coordinator merges returned facts by **re-canonicalizing** them into
+its own store — `Oid`/`OTuple`/`OSet` unpickle through interned
+construction (their ``__reduce__``), so a fact coming back from a worker
+IS the coordinator's canonical node and oid identity survives the round
+trip. This is sound precisely because certified-parallel strata are
+hazard-free: workers never invent oids, never weak-assign, never delete —
+they only derive memberships over identities the coordinator already
+owns.
 
-* :class:`ThreadDriver` — the PR-9 thread pool. Workers share the
-  coordinator's instance: concurrent strata write disjoint symbols
-  (certificate condition), partitioned delta rounds read frozen extents
-  and stage derivations in thread-local buckets merged at the round
-  barrier. Cheap to start, but the GIL serializes rule firings; it wins
-  exactly where rounds release the GIL or coordination dominates.
-* :class:`ProcessDriver` — shared-nothing ``multiprocessing`` workers
-  (fork where available, spawn-safe otherwise), one persistent pool per
-  :class:`~repro.iql.evaluator.Evaluator`. The program crosses once at
-  pool creation; each episode ships the instance state, and within an
-  episode only fact deltas cross, in the compact node-table wire
-  encoding of :mod:`repro.io`. Every worker runs its own process-local
-  hash-consing store, compiles its own kernel replicas against its own
-  instance replica, and the coordinator merges returned facts by
-  **re-canonicalizing** them into its own store — `Oid`/`OTuple`/`OSet`
-  unpickle through interned construction (their ``__reduce__``), so a
-  fact coming back from a worker IS the coordinator's canonical node and
-  oid identity survives the round trip. This is sound precisely because
-  certified-parallel strata are hazard-free: workers never invent oids,
-  never weak-assign, never delete — they only derive memberships over
-  identities the coordinator already owns.
+The driver runs two kinds of work:
 
-Two mechanisms are common to both drivers:
-
-* **stat merging** for concurrent strata — each worker task evaluates
-  its stratum with a private :class:`EvaluationStats`, folded into the
-  run's stats at the batch barrier. Counters are additive; nothing in a
-  worker reads another worker's stats,
+* **concurrent strata** — each worker evaluates its stratum with a
+  private :class:`EvaluationStats`, folded into the run's stats at the
+  batch barrier (counters are additive; nothing in a worker reads
+  another worker's stats). Every worker starts its count at the run's
+  steps so far, and the barrier charges the batch's summed steps to the
+  run's ``max_steps`` budget: a batch raises
+  :class:`~repro.errors.NonTerminationError` at exactly the budget the
+  serial engine would,
 * **partitioned delta rounds** for a single certified-partitionable
   stratum — the semi-naive round loop of
   :func:`repro.iql.seminaive.run_stage_seminaive`, with each round's
-  delta split round-robin across workers. Every worker drives its own
-  **kernel replica set** compiled through
+  delta split round-robin across workers. Every participant drives its
+  own kernel set compiled through
   :func:`repro.iql.compile.compile_seminaive` directly (bypassing the
-  shared per-rule kernel cache): a compiled body's ``sink_cell`` is a
-  per-execution mutable slot, so one kernel must never be driven by two
-  executors — this is precisely the surface the certificate's IQL803
-  audit pins down. The blocking check ``value not in existing`` is
-  round-stable (extents are frozen within a round — certificate
+  per-rule kernel cache, whose kernels capture another instance's
+  extents). The blocking check ``value not in existing`` is round-stable
+  (every replica applies the same deltas before a round — certificate
   condition (b)), derivations land in worker-local buckets, and the
   coordinator alone applies the merge, so inflationary semantics makes
   the merge order-insensitive.
 
-Rounds below the driver's partition threshold run inline on the
-coordinator — task (or serialization) overhead would dominate; the
-process driver defers the corresponding delta sync until the next driven
-round so small rounds cost no round trips at all. The adaptive
-replanner's mid-fixpoint drift check is disabled in partitioned rounds
-(replicas are compiled once per stratum); the round-0 full solve also
-runs on the coordinator, so partitioning pays off exactly where
-recursion does: in the delta rounds.
+Rounds below :data:`PROCESS_PARTITION_THRESHOLD` run inline on the
+coordinator — serialization overhead would dominate — and their deltas
+are buffered until the next driven round, so small rounds cost no round
+trips at all. The adaptive replanner's mid-fixpoint drift check is
+disabled in partitioned rounds (kernels are compiled once per stratum);
+the round-0 full solve also runs on the coordinator, so partitioning
+pays off exactly where recursion does: in the delta rounds.
 """
 
 from __future__ import annotations
@@ -68,20 +61,16 @@ from dataclasses import fields
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.effects import DeltaBody, delta_body, is_plane
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, NonTerminationError
 from repro.iql.compile import CompileFallback, SeminaiveKernels, compile_seminaive
 from repro.iql.rules import Rule
 from repro.schema.instance import Instance
 from repro.values.ovalues import Oid, OSet, OValue
 
-#: Minimum facts in a round's delta before splitting beats task overhead
-#: (thread driver: the task is a pool submit).
-PARTITION_THRESHOLD = 64
-
-#: The process driver's threshold: a split round costs a serialization
-#: and an IPC round trip per worker, so it must be much fatter than the
-#: thread threshold to pay off; thinner rounds run inline on the
-#: coordinator and only their deltas are buffered for the workers.
+#: Minimum facts in a round's delta before the workers drive it: a split
+#: round costs a serialization and an IPC round trip per worker; thinner
+#: rounds run inline on the coordinator and only their deltas are
+#: buffered for the workers.
 PROCESS_PARTITION_THRESHOLD = 256
 
 
@@ -126,36 +115,32 @@ def merge_stats(target, source) -> None:
             getattr(target, field.name).extend(value)
 
 
-def compile_replicas(
-    rules: Sequence[Rule],
-    shapes: Dict[int, DeltaBody],
-    instance: Instance,
-    workers: int,
-    enumeration_budget: int,
-) -> Optional[List[Dict[int, SeminaiveKernels]]]:
-    """One full kernel set per worker, or None if any rule won't compile.
+def compile_stratum(
+    rules: Sequence[Rule], instance: Instance, enumeration_budget: int
+) -> Optional[Tuple[Dict[int, DeltaBody], Dict[int, SeminaiveKernels]]]:
+    """The delta shapes and one kernel set for a partitioned stratum, or
+    None if any rule falls outside the delta-staged compiled fragment.
 
-    Compiled on the coordinator *before* any concurrency (the per-rule
-    plan caches are not thread-safe), through
-    :func:`~repro.iql.compile.compile_seminaive` directly so each worker
-    owns its kernels' ``sink_cell`` slots outright.
+    Compiled through :func:`~repro.iql.compile.compile_seminaive`
+    directly, bypassing the per-rule kernel cache, so the caller owns the
+    kernels' ``sink_cell`` slots outright.
     """
-    replicas: List[Dict[int, SeminaiveKernels]] = []
+    shapes: Dict[int, DeltaBody] = {}
+    for index, rule in enumerate(rules):
+        shape = delta_body(rule, instance.schema)
+        if shape is None:
+            return None
+        shapes[index] = shape
     try:
-        for _ in range(workers):
-            kernels = {
-                index: compile_seminaive(
-                    rule,
-                    shapes[index],
-                    instance,
-                    enumeration_budget=enumeration_budget,
-                )
-                for index, rule in enumerate(rules)
-            }
-            replicas.append(kernels)
+        kernels = {
+            index: compile_seminaive(
+                rule, shapes[index], instance, enumeration_budget=enumeration_budget
+            )
+            for index, rule in enumerate(rules)
+        }
     except CompileFallback:
         return None
-    return replicas
+    return shapes, kernels
 
 
 def drive_share(
@@ -167,13 +152,13 @@ def drive_share(
     stride: int,
     delta_lists: Dict[str, list],
 ) -> Tuple[Dict[str, Set[OValue]], int]:
-    """One worker's share of a delta round, against one kernel replica set.
+    """One worker's share of a delta round, against its own kernel set.
 
     Positions are matched against every ``stride``-th delta fact starting
     at ``worker``; derived values land in worker-local buckets. The
     blocking read (``value not in existing``) observes ``instance``'s
-    extents, which both drivers keep frozen (thread: barrier discipline)
-    or exactly synced (process: applied deltas) within a round.
+    extents, which every replica keeps exactly synced (applied deltas)
+    within a round.
     """
     local: Dict[str, Set[OValue]] = {}
     considered = [0]
@@ -207,197 +192,7 @@ def drive_share(
     return local, considered[0]
 
 
-def run_stage_seminaive_partitioned(
-    instance: Instance,
-    rules: Sequence[Rule],
-    stats,
-    enumeration_budget: int,
-    pool,
-    workers: int,
-    max_steps: int = 10_000,
-) -> Optional[int]:
-    """Evaluate one certified-partitionable stratum with split delta rounds
-    on a shared-memory thread pool.
-
-    Returns the number of rounds, or None when a rule falls outside the
-    compiled fragment — the caller then runs the ordinary serial path
-    (never wrong answers, just no speedup). Semantics are identical to
-    :func:`repro.iql.seminaive.run_stage_seminaive`: the derived fact
-    set of each round is the union over partitions of the same
-    derivations the serial round enumerates, deduplicated at the merge.
-    """
-    schema = instance.schema
-    shapes: Dict[int, DeltaBody] = {}
-    for index, rule in enumerate(rules):
-        shape = delta_body(rule, schema)
-        if shape is None:
-            return None
-        shapes[index] = shape
-    replicas = compile_replicas(rules, shapes, instance, workers, enumeration_budget)
-    if replicas is None:
-        return None
-    # Prewarm: the lazy index build must not race across workers.
-    instance.indexes  # noqa: B018
-
-    def drive(worker: int, stride: int, delta_lists: Dict[str, list]) -> Tuple[Dict[str, Set[OValue]], int]:
-        return drive_share(
-            rules, shapes, replicas[worker], instance, worker, stride, delta_lists
-        )
-
-    rounds = 0
-    first = True
-    delta: Dict[str, Set[OValue]] = {}
-    while True:
-        if stats.steps >= max_steps:
-            from repro.errors import NonTerminationError  # noqa: PLC0415
-
-            raise NonTerminationError(
-                f"no fixpoint within {max_steps} steps (partitioned stage)"
-            )
-        new: Dict[str, Set[OValue]] = {}
-        if first:
-            # Round 0 is a full solve over the existing extents — one
-            # coordinator pass through replica 0's full kernels.
-            kernels0 = replicas[0]
-            for index, rule in enumerate(rules):
-                head_name = rule.head.container.name
-                existing = instance.relations[head_name]
-                bucket = new.setdefault(head_name, set())
-                compiled = kernels0[index]
-                head_eval = compiled.head_full
-
-                def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
-                    value = _he(slots)
-                    if value is not None and value not in _ex:
-                        _b.add(value)
-                        stats.valuations_considered += 1
-
-                compiled.full.execute((), consume)
-            first = False
-        else:
-            delta_lists = {name: list(values) for name, values in delta.items()}
-            total = sum(len(values) for values in delta_lists.values())
-            if workers > 1 and total >= PARTITION_THRESHOLD:
-                futures = [
-                    pool.submit(drive, worker, workers, delta_lists)
-                    for worker in range(workers)
-                ]
-                stats.parallel_tasks += workers
-                for future in futures:
-                    local, considered = future.result()
-                    stats.valuations_considered += considered
-                    for name, values in local.items():
-                        if values:
-                            new.setdefault(name, set()).update(values)
-            else:
-                local, considered = drive(0, 1, delta_lists)
-                stats.valuations_considered += considered
-                new.update(local)
-
-        rounds += 1
-        stats.steps += 1
-        if not any(new.values()):
-            return rounds
-        for name, values in new.items():
-            for value in values:
-                if instance.add_relation_member(name, value):
-                    stats.facts_added += 1
-        delta = new
-
-
-# -- the driver interface ------------------------------------------------------------
-#
-# Both drivers expose the same three-call surface the evaluator's
-# parallel stage walker uses:
-#
-#   run_batch(instance, stage_index, batch, strata, stats) -> steps
-#   run_partitioned(instance, stage_index, rules, stats)   -> rounds | None
-#   release() / close()
-#
-# ``release()`` ends one run (the thread driver tears its pool down, the
-# process driver keeps its workers warm); ``close()`` ends the driver.
-
-
-class ThreadDriver:
-    """The shared-memory thread pool driver (PR 9), one pool per run."""
-
-    backend = "thread"
-
-    def __init__(self, evaluator, workers: int) -> None:
-        from concurrent.futures import ThreadPoolExecutor  # noqa: PLC0415
-
-        self.evaluator = evaluator
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-par"
-        )
-
-    def run_batch(
-        self,
-        instance: Instance,
-        stage_index: int,
-        batch: Sequence[int],
-        strata: Sequence[Sequence[Rule]],
-        stats,
-    ) -> int:
-        evaluator = self.evaluator
-        # Prewarm: the lazy index build must not race across workers.
-        instance.indexes  # noqa: B018
-        # The incremental constants fold (_note_constants) is a
-        # read-modify-write; concurrent workers adding facts could
-        # tear it and silently drop constants. Certified batches
-        # never *read* constants(I) — the enumeration fallback is
-        # an IQL802 hazard — so run the batch with the cache cold:
-        # _note_constants is then a no-op and the next serial
-        # reader rebuilds from scratch.
-        instance._forget_constants()
-        futures = []
-        subs = []
-        for stratum_index in batch:
-            sub = type(stats)()
-            futures.append(
-                self._pool.submit(
-                    evaluator._solve_stratum_scheduled,
-                    instance,
-                    list(strata[stratum_index]),
-                    sub,
-                )
-            )
-            subs.append(sub)
-        stats.parallel_strata += len(batch)
-        stats.parallel_tasks += len(batch)
-        steps = 0
-        for future, sub in zip(futures, subs):
-            steps += future.result()
-            merge_stats(stats, sub)
-        return steps
-
-    def run_partitioned(
-        self,
-        instance: Instance,
-        stage_index: int,
-        rules: Sequence[Rule],
-        stats,
-    ) -> Optional[int]:
-        evaluator = self.evaluator
-        return run_stage_seminaive_partitioned(
-            instance,
-            rules,
-            stats,
-            evaluator.limits.enumeration_budget,
-            self._pool,
-            self.workers,
-            max_steps=evaluator.limits.max_steps,
-        )
-
-    def release(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def close(self) -> None:
-        pass
-
-
-# -- the process driver ---------------------------------------------------------------
+# -- the driver -----------------------------------------------------------------------
 
 
 def _batch_facts_to_wire(
@@ -510,7 +305,8 @@ def _stable_key(value: OValue):
 def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> None:
     """The persistent process worker's command loop (spawn-safe: module
     level, imports inside). One reply per ``solve``/``begin``/``round``;
-    ``state`` is fire-and-forget; any exception answers ``("error", tb)``."""
+    ``state`` is fire-and-forget; a step-budget overrun answers
+    ``("nontermination", message)``, any other exception ``("error", tb)``."""
     import gc  # noqa: PLC0415
     import traceback  # noqa: PLC0415
 
@@ -524,7 +320,7 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
     gc.freeze()
 
     program, limits = pickle.loads(startup)
-    from repro.iql.evaluator import Evaluator  # noqa: PLC0415
+    from repro.iql.evaluator import EvaluationStats, Evaluator  # noqa: PLC0415
 
     evaluator = Evaluator(program, limits=limits)
     instance: Optional[Instance] = None
@@ -542,38 +338,32 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
                 instance = pickle.loads(message[1])
                 episode = None
                 continue
+            assert instance is not None  # "state" always comes first
             if kind == "solve":
-                from repro.iql.evaluator import EvaluationStats  # noqa: PLC0415
-
-                _, stage_index, rule_indexes = message
+                _, stage_index, rule_indexes, spent = message
                 stage = program.stages[stage_index]
                 rules = [stage[i] for i in rule_indexes]
-                stats = EvaluationStats()
+                # Start at the run's step count so the stratum's fixpoint
+                # checks the run's budget, then report its own steps only.
+                stats = EvaluationStats(steps=spent)
                 wire, steps = _solve_stratum_with_diff(
                     evaluator, instance, rules, stats
                 )
+                stats.steps = steps
                 conn.send_bytes(pickle.dumps(("diff", wire, steps, stats)))
             elif kind == "begin":
                 _, stage_index, rule_indexes = message
                 stage = program.stages[stage_index]
                 rules = [stage[i] for i in rule_indexes]
-                shapes: Dict[int, DeltaBody] = {}
-                for index, rule in enumerate(rules):
-                    shape = delta_body(rule, instance.schema)
-                    if shape is None:
-                        raise CompileFallback("outside the delta fragment")
-                    shapes[index] = shape
-                replicas = compile_replicas(
-                    rules, shapes, instance, 1, limits.enumeration_budget
-                )
-                if replicas is None:
-                    raise CompileFallback("kernel replica compile failed")
+                compiled = compile_stratum(rules, instance, limits.enumeration_budget)
+                if compiled is None:
+                    raise CompileFallback("stratum outside the compiled delta fragment")
                 instance.indexes  # noqa: B018
-                episode = (rules, shapes, replicas[0])
+                episode = (rules, *compiled)
                 conn.send_bytes(pickle.dumps(("ready",)))
             elif kind == "round":
-                _, pending, drive = message
-                assert episode is not None and instance is not None
+                _, pending = message
+                assert episode is not None
                 # Catch up: apply every unshipped coordinator delta, in
                 # round order. The last one IS the current round's delta
                 # (already decoded into this store's canonical nodes, in
@@ -586,25 +376,18 @@ def _pool_worker_main(conn, worker_id: int, nworkers: int, startup: bytes) -> No
                         for value in values:
                             instance.add_relation_member(name, value)
                     delta_lists = decoded
-                if drive:
-                    rules, shapes, kernels = episode
-                    local, considered = drive_share(
-                        rules,
-                        shapes,
-                        kernels,
-                        instance,
-                        worker_id,
-                        nworkers,
-                        delta_lists,
-                    )
-                    wire = io.batch_to_wire(
-                        {n: sorted(vs, key=_stable_key) for n, vs in local.items() if vs}
-                    )
-                    conn.send_bytes(pickle.dumps(("derived", wire, considered)))
-                else:
-                    conn.send_bytes(pickle.dumps(("synced",)))
+                rules, shapes, kernels = episode
+                local, considered = drive_share(
+                    rules, shapes, kernels, instance, worker_id, nworkers, delta_lists
+                )
+                wire = io.batch_to_wire(
+                    {n: sorted(vs, key=_stable_key) for n, vs in local.items() if vs}
+                )
+                conn.send_bytes(pickle.dumps(("derived", wire, considered)))
             else:
                 raise EvaluationError(f"unknown pool command {kind!r}")
+        except NonTerminationError as exc:
+            conn.send_bytes(pickle.dumps(("nontermination", str(exc))))
         except Exception:
             conn.send_bytes(pickle.dumps(("error", traceback.format_exc())))
 
@@ -628,7 +411,7 @@ def _shutdown_pool(processes, connections) -> None:
 
 
 class ProcessDriver:
-    """The shared-nothing multiprocessing driver.
+    """The shared-nothing multiprocessing driver behind ``parallel=N``.
 
     Workers are persistent (one pool per Evaluator, reused across runs):
     the program and evaluator limits cross once at pool creation, each
@@ -637,9 +420,12 @@ class ProcessDriver:
     encoding. Deltas from rounds too small to split are buffered and
     piggy-backed on the next driven round, so small rounds cost zero
     round trips.
-    """
 
-    backend = "process"
+    The evaluator's parallel stage walker uses three calls:
+    ``run_batch`` (concurrent strata, returns their summed steps),
+    ``run_partitioned`` (split delta rounds, returns the round count or
+    None to fall back serial) and ``close``.
+    """
 
     def __init__(self, evaluator, workers: int) -> None:
         import multiprocessing as mp  # noqa: PLC0415
@@ -672,13 +458,25 @@ class ProcessDriver:
     def _send(self, worker: int, message: tuple) -> None:
         self._connections[worker].send_bytes(pickle.dumps(message))
 
-    def _recv(self, worker: int):
-        reply = pickle.loads(self._connections[worker].recv_bytes())
-        if reply[0] == "error":
-            raise EvaluationError(
-                f"process pool worker {worker} failed:\n{reply[1]}"
-            )
-        return reply
+    def _gather(self, workers: Sequence[int]) -> List[tuple]:
+        """One reply from each of ``workers``, in order.
+
+        Every reply is read before a worker failure is raised, so no
+        stale answer stays in a pipe for the next run of the persistent
+        pool. A worker's step-budget overrun re-raises as the serial
+        engine's :class:`~repro.errors.NonTerminationError`.
+        """
+        replies = [
+            pickle.loads(self._connections[worker].recv_bytes()) for worker in workers
+        ]
+        for worker, reply in zip(workers, replies):
+            if reply[0] == "nontermination":
+                raise NonTerminationError(reply[1])
+            if reply[0] == "error":
+                raise EvaluationError(
+                    f"process pool worker {worker} failed:\n{reply[1]}"
+                )
+        return replies
 
     def _ship_state(self, instance: Instance, workers: Sequence[int]) -> None:
         blob = pickle.dumps(instance)
@@ -713,6 +511,14 @@ class ProcessDriver:
         strata: Sequence[Sequence[Rule]],
         stats,
     ) -> int:
+        """Run each stratum of ``batch`` on a worker and merge the diffs.
+
+        The batch is charged to the run's ``max_steps``: each worker
+        starts counting at the run's steps so far, and the summed steps
+        must fit the budget — the serial engine, running the same strata
+        one after another, raises exactly when this does.
+        """
+        max_steps = self.evaluator.limits.max_steps
         stage_rules = self.evaluator.program.stages[stage_index]
         assignments = [
             (k % self.workers, self._rule_indexes(stage_rules, strata[stratum_index]))
@@ -721,18 +527,22 @@ class ProcessDriver:
         engaged = sorted({worker for worker, _ in assignments})
         self._ship_state(instance, engaged)
         for worker, rule_indexes in assignments:
-            self._send(worker, ("solve", stage_index, rule_indexes))
+            self._send(worker, ("solve", stage_index, rule_indexes, stats.steps))
         stats.parallel_strata += len(batch)
         stats.parallel_tasks += len(batch)
-        steps = 0
         # Collect in per-worker FIFO order (a worker with two strata
         # answers them in submission order).
-        for worker, _ in assignments:
-            _, wire, worker_steps, sub = self._recv(worker)
+        replies = self._gather([worker for worker, _ in assignments])
+        steps = 0
+        for _, wire, worker_steps, sub in replies:
             steps += worker_steps
             applied = _apply_wire_diff(instance, wire)
             sub.facts_added = applied  # the coordinator's view is canonical
             merge_stats(stats, sub)
+        if stats.steps > max_steps:
+            raise NonTerminationError(
+                f"no fixpoint within {max_steps} steps (concurrent strata batch)"
+            )
         return steps
 
     def run_partitioned(
@@ -743,22 +553,13 @@ class ProcessDriver:
         stats,
     ) -> Optional[int]:
         from repro import io  # noqa: PLC0415
-        from repro.errors import NonTerminationError  # noqa: PLC0415
 
         evaluator = self.evaluator
-        schema = instance.schema
-        shapes: Dict[int, DeltaBody] = {}
-        for index, rule in enumerate(rules):
-            shape = delta_body(rule, schema)
-            if shape is None:
-                return None
-            shapes[index] = shape
-        replicas = compile_replicas(
-            list(rules), shapes, instance, 1, evaluator.limits.enumeration_budget
-        )
-        if replicas is None:
+        max_steps = evaluator.limits.max_steps
+        compiled = compile_stratum(rules, instance, evaluator.limits.enumeration_budget)
+        if compiled is None:
             return None
-        kernels0 = replicas[0]
+        shapes, kernels = compiled
         instance.indexes  # noqa: B018
 
         rule_indexes = self._rule_indexes(
@@ -768,13 +569,9 @@ class ProcessDriver:
         self._ship_state(instance, engaged)
         for worker in engaged:
             self._send(worker, ("begin", stage_index, rule_indexes))
-        ready = True
-        for worker in engaged:
-            try:
-                self._recv(worker)
-            except EvaluationError:
-                ready = False
-        if not ready:  # pragma: no cover - deterministic compile succeeded above
+        try:
+            self._gather(engaged)
+        except EvaluationError:  # pragma: no cover - the same compile succeeded above
             return None
 
         rounds = 0
@@ -782,20 +579,19 @@ class ProcessDriver:
         delta: Dict[str, Set[OValue]] = {}
         pending: List = []  # applied-but-unshipped round deltas, in order
         while True:
-            if stats.steps >= evaluator.limits.max_steps:
+            if stats.steps >= max_steps:
                 raise NonTerminationError(
-                    f"no fixpoint within {evaluator.limits.max_steps} steps "
-                    f"(partitioned stage)"
+                    f"no fixpoint within {max_steps} steps (partitioned stage)"
                 )
             new: Dict[str, Set[OValue]] = {}
             if first:
-                # Round 0: full solve on the coordinator's replica.
+                # Round 0: full solve on the coordinator's kernels.
                 for index, rule in enumerate(rules):
                     head_name = rule.head.container.name
                     existing = instance.relations[head_name]
                     bucket = new.setdefault(head_name, set())
-                    compiled = kernels0[index]
-                    head_eval = compiled.head_full
+                    compiled_rule = kernels[index]
+                    head_eval = compiled_rule.head_full
 
                     def consume(slots, _he=head_eval, _b=bucket, _ex=existing):
                         value = _he(slots)
@@ -803,7 +599,7 @@ class ProcessDriver:
                             _b.add(value)
                             stats.valuations_considered += 1
 
-                    compiled.full.execute((), consume)
+                    compiled_rule.full.execute((), consume)
                 first = False
             else:
                 delta_lists = {
@@ -813,11 +609,10 @@ class ProcessDriver:
                 total = sum(len(values) for values in delta_lists.values())
                 if total >= PROCESS_PARTITION_THRESHOLD:
                     for worker in engaged:
-                        self._send(worker, ("round", pending, True))
+                        self._send(worker, ("round", pending))
                     pending = []
                     stats.parallel_tasks += self.workers
-                    for worker in engaged:
-                        _, wire, considered = self._recv(worker)
+                    for _, wire, considered in self._gather(engaged):
                         stats.valuations_considered += considered
                         for name, values in io.batch_from_wire(wire).items():
                             existing = instance.relations[name]
@@ -827,7 +622,7 @@ class ProcessDriver:
                                     bucket.add(value)
                 else:
                     local, considered = drive_share(
-                        rules, shapes, kernels0, instance, 0, 1, delta_lists
+                        rules, shapes, kernels, instance, 0, 1, delta_lists
                     )
                     stats.valuations_considered += considered
                     new.update(local)
@@ -851,17 +646,6 @@ class ProcessDriver:
                 )
             )
 
-    def release(self) -> None:
-        """A run ended; the pool stays warm for the next one."""
-
     def close(self) -> None:
+        """Stop the workers; safe to call repeatedly."""
         self._finalizer()
-
-
-def create_driver(backend: str, evaluator, workers: int):
-    """The one backend dispatch point (``Evaluator(backend=...)``)."""
-    if backend == "thread":
-        return ThreadDriver(evaluator, workers)
-    if backend == "process":
-        return ProcessDriver(evaluator, workers)
-    raise EvaluationError(f"unknown parallel backend {backend!r}")

@@ -57,9 +57,9 @@ Process locality
 
 The store is **process-local** by design: nothing here is shared memory,
 and node identity never survives a process boundary on its own.  The
-``backend="process"`` executor (:mod:`repro.iql.parexec`) leans on this
-deliberately — each worker process runs its own ``STORE`` seeded by its
-own constructions, and facts crossing a pipe are rebuilt *through the
+worker-process executor behind ``parallel=N`` (:mod:`repro.iql.parexec`)
+leans on this deliberately — each worker process runs its own ``STORE``
+seeded by its own constructions, and facts crossing a pipe are rebuilt *through the
 receiving side's interned constructors* (``Oid.__reduce__`` /
 ``OTuple.__reduce__`` / ``OSet.__reduce__`` in
 :mod:`repro.values.ovalues`, and the wire codec in :mod:`repro.io`).

@@ -243,7 +243,7 @@ class OTuple:
             if len(data) >= store.tuples_mark:
                 # Amortized sweep: dead entries are left behind as
                 # tombstones (no removal callbacks — see intern.py).
-                # Iterate a snapshot of the keys: a parallel thread worker
+                # Iterate a snapshot of the keys: a caller's other thread
                 # may insert meanwhile. Its entry is then missing from the
                 # new table, which costs a duplicate node, never a wrong
                 # answer (entries are never removed from ``data``).

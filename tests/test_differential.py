@@ -22,7 +22,11 @@ oracle's fixpoint of the same input:
 * ``ivm`` — :class:`~repro.iql.MaterializedProgram` insert replay:
   materialize half the input, insert the other half one fact per
   ``apply_delta`` batch, then apply random insert/delete batches;
-* ``threads`` / ``processes`` — ``Evaluator(parallel=N)`` on each backend.
+* ``processes`` — ``Evaluator(parallel=2)`` on its worker-process pool,
+  with :data:`repro.iql.parexec.PROCESS_PARTITION_THRESHOLD` at 1 so
+  every delta round of a partitioned stratum is driven by the workers
+  (at the default threshold the corpus's small rounds stay inline on
+  the coordinator and the worker round path would go untested).
 
 Both corpora come from one seeded generator over a fixed schema. The
 ``plain`` corpus holds single-stage programs — recursive positive atoms,
@@ -50,6 +54,7 @@ from repro.iql import (
     atom,
     columns,
 )
+from repro.iql import parexec
 from repro.iql import stats as planner_stats
 from repro.iql.literals import Equality
 from repro.schema import Instance, Schema, are_o_isomorphic
@@ -217,16 +222,14 @@ def run_materialized(program, instance, rng):
     assert mp.instance.indexes.equals_rebuild(), "stale indexes"
 
 
-def run_parallel(backend, workers):
-    def run(program, instance, rng):
-        evaluator = Evaluator(program, parallel=workers, backend=backend)
-        try:
+def run_processes(program, instance, rng):
+    evaluator = Evaluator(program, parallel=2)
+    try:
+        with mock.patch.object(parexec, "PROCESS_PARTITION_THRESHOLD", 1):
             result = evaluator.run(instance.copy())
-        finally:
-            evaluator.close()
-        yield instance, result.full, result.stats
-
-    return run
+    finally:
+        evaluator.close()
+    yield instance, result.full, result.stats
 
 
 ENGINES = {
@@ -234,8 +237,7 @@ ENGINES = {
     "forced-replan": run_forced_replan,
     "uninterned": run_uninterned,
     "ivm": run_materialized,
-    "threads": run_parallel("thread", 4),
-    "processes": run_parallel("process", 2),
+    "processes": run_processes,
 }
 
 
@@ -257,7 +259,7 @@ def check_engine(engine, seed, staged=False):
     invention_free = all(rule.is_invention_free() for rule in program.rules)
     stats = None
     with warnings.catch_warnings():
-        # IQL801-803 serial fallbacks of the parallel engines warn.
+        # IQL801-803 serial fallbacks of the parallel engine warn.
         warnings.simplefilter("ignore")
         for state, (base, full, stats) in enumerate(ENGINES[engine](program, instance, rng)):
             expected = ReferenceEvaluator(program).run(base.copy()).full
@@ -314,13 +316,14 @@ def test_forced_replanning_matches_static(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parallel_engine_matches_serial(seed):
-    """The thread backend, 4 workers, on the staged corpus."""
-    check_engine("threads", seed, staged=True)
+    """The worker-process engine on the plain corpus, whose recursive
+    single-stage programs mostly certify as partitionable."""
+    check_engine("processes", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_process_engine_matches_serial(seed):
-    """The process backend, 2 workers, on the staged corpus.
+    """The worker-process engine on the staged corpus.
 
     A worker's derivations cross a pickling boundary and must
     re-canonicalize into the coordinator's intern store with oid identity

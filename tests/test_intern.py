@@ -310,7 +310,7 @@ def test_interned_engine_matches_no_intern(seed):
 
 # -- pickling: the process-boundary identity channel ----------------------------
 #
-# The shared-nothing executor (repro.iql.parexec, backend="process") rides
+# The shared-nothing executor (repro.iql.parexec, behind parallel=N) rides
 # on three properties of the value types' pickling:
 #
 # 1. round trips preserve structure: a == pickle.loads(pickle.dumps(a)),
@@ -408,8 +408,9 @@ def test_wire_batch_round_trip_preserves_identity_and_sharing():
 
 
 def test_concurrent_constructions_survive_table_sweeps():
-    # Parallel thread workers intern facts concurrently; a thread that
-    # sweeps the table must not trip over another thread's insertion.
+    # A host application may construct values from several threads; a
+    # thread that sweeps the table must not trip over another thread's
+    # insertion.
     import sys
     import threading
 

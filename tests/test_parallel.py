@@ -8,10 +8,11 @@ Three layers under test, mirroring the maintenance-certificate suite:
 * the **certificate discipline** — re-derivation, memoized validation,
   and tamper detection: any hand-mutated plan must be caught by
   :func:`check_parallel_certificate` before an executor trusts it,
-* the **executor** — ``Evaluator(parallel=N)`` agrees with the serial
-  engines on concurrent strata, partitioned delta rounds, and every
-  fallback shape (IQL801/802 programs run serial with a
-  PreflightWarning, never wrong answers).
+* the **executor** — ``Evaluator(parallel=N)`` on its worker-process
+  pool agrees with the serial engines on concurrent strata, partitioned
+  delta rounds, and every fallback shape (IQL801/802 programs run serial
+  with a PreflightWarning, never wrong answers), and charges concurrent
+  strata to the run's ``max_steps`` budget.
 """
 
 import warnings
@@ -29,7 +30,19 @@ from repro.analysis import (
     render_parallel_text,
     validate_parallel_certificate,
 )
-from repro.iql import Evaluator, Program, ReferenceEvaluator, Rule, Var, atom, columns
+from repro.errors import EvaluationError, NonTerminationError
+from repro.iql import (
+    Evaluator,
+    EvaluatorLimits,
+    Program,
+    ReferenceEvaluator,
+    Rule,
+    Var,
+    atom,
+    columns,
+    parexec,
+)
+from repro.parser.grammar import program_from_source
 from repro.schema import Instance, Schema
 from repro.typesys import D, classref, tuple_of
 from repro.values import OTuple
@@ -256,14 +269,11 @@ def test_renderers_cover_the_plan():
 
 
 class _DriftedCompile:
-    """A compile module whose kernel grew an unaudited capture slot."""
+    """A compile module whose kernel lost its stale-instance check."""
 
     class CompiledBody:
         __slots__ = ("slot_vars", "slot_index", "entry", "sink_cell",
-                     "instance", "indexes", "scratch")
-
-        def valid_for(self, instance):
-            return True
+                     "instance", "indexes")
 
     @staticmethod
     def compile_seminaive(*args, **kwargs):
@@ -279,8 +289,8 @@ def test_audit_passes_on_the_real_runtime():
 
 def test_audit_catches_a_drifted_kernel_surface():
     checks = audit_runtime_surfaces(compile_module=_DriftedCompile)
-    failed = [c for c in checks if not c.holds]
-    assert failed and any("CompiledBody" in c.surface for c in failed)
+    failed = [c.surface for c in checks if not c.holds]
+    assert failed == ["compile.CompiledBody.valid_for"]
     certificate = build_parallel_certificate(tc_program(), audit=checks)
     assert not certificate.certified
     assert not certificate.clean
@@ -376,13 +386,29 @@ def test_forged_audit_failures_are_caught():
 
 
 # -- the executor --------------------------------------------------------------------
+#
+# Shared-nothing worker processes: worker facts must re-canonicalize into
+# the coordinator's store with identity intact, on every diff shape the
+# hazard-free fragment admits (relation members, class members, set
+# elements). Each test closes its evaluator's pool.
 
 
-def test_partitioned_rounds_match_serial_exactly():
+def run_parallel(program, instance, workers=2, limits=None):
+    evaluator = Evaluator(program, parallel=workers, limits=limits)
+    try:
+        return evaluator.run(instance.copy())
+    finally:
+        evaluator.close()
+
+
+def test_partitioned_rounds_match_serial_exactly(monkeypatch):
+    # Threshold 1: every delta round of the 120-cycle is split across
+    # four workers (stride 4), not just the fat ones.
+    monkeypatch.setattr(parexec, "PROCESS_PARTITION_THRESHOLD", 1)
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 120, cyclic=True)
-    parallel = Evaluator(program, parallel=4).run(instance.copy())
+    parallel = run_parallel(program, instance, workers=4)
     serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_workers == 4
@@ -392,12 +418,12 @@ def test_partitioned_rounds_match_serial_exactly():
 
 
 def test_small_deltas_stay_inline():
-    # Below PARTITION_THRESHOLD no worker tasks are submitted; the
+    # Below PROCESS_PARTITION_THRESHOLD no worker drives a round; the
     # partitioned runner degenerates to the serial round loop.
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 6)
-    result = Evaluator(program, parallel=4).run(instance.copy())
+    result = run_parallel(program, instance)
     assert result.stats.parallel_partitioned == 1
     assert result.stats.parallel_tasks == 0
     serial = Evaluator(program).run(instance.copy())
@@ -422,11 +448,76 @@ def test_concurrent_strata_run_on_workers():
     instance = Instance(schema.project(["E"]))
     for i in range(30):
         instance.add_relation_member("E", OTuple(A01=f"a{i}", A02=f"b{i}"))
-    parallel = Evaluator(program, parallel=2).run(instance.copy())
+    parallel = run_parallel(program, instance)
     serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
     assert parallel.stats.parallel_strata == 2
     assert parallel.stats.parallel_tasks >= 2
+
+
+#: Four independent transitive closures over 4-node cycles: one width-4
+#: batch of concurrent strata, 20 serial steps in all.
+FOUR_CLOSURES = """
+schema {
+  relation E1: [A1: D, A2: D];
+  relation E2: [A1: D, A2: D];
+  relation E3: [A1: D, A2: D];
+  relation E4: [A1: D, A2: D];
+  relation T1: [A1: D, A2: D];
+  relation T2: [A1: D, A2: D];
+  relation T3: [A1: D, A2: D];
+  relation T4: [A1: D, A2: D];
+}
+var x, y, z: D
+input E1, E2, E3, E4
+output T1, T2, T3, T4
+rules {
+  T1(x, y) :- E1(x, y).
+  T1(x, z) :- T1(x, y), E1(y, z).
+  T2(x, y) :- E2(x, y).
+  T2(x, z) :- T2(x, y), E2(y, z).
+  T3(x, y) :- E3(x, y).
+  T3(x, z) :- T3(x, y), E3(y, z).
+  T4(x, y) :- E4(x, y).
+  T4(x, z) :- T4(x, y), E4(y, z).
+}
+"""
+
+
+def four_closures():
+    program = program_from_source(FOUR_CLOSURES)
+    instance = Instance(program.input_schema)
+    for k in range(1, 5):
+        for i in range(4):
+            instance.add_relation_member(
+                f"E{k}", OTuple(A1=f"n{i}", A2=f"n{(i + 1) % 4}")
+            )
+    return program, instance
+
+
+def test_concurrent_strata_charge_the_run_step_budget():
+    # The serial engine runs the four strata one after another against
+    # one step count; a concurrent batch must exhaust the same budget.
+    program, instance = four_closures()
+    serial = Evaluator(program).run(instance.copy())
+    assert serial.stats.steps == 20
+    limits = EvaluatorLimits(max_steps=20)
+    parallel = run_parallel(program, instance, limits=limits)
+    assert parallel.stats.parallel_strata == 4
+    assert parallel.stats.steps == 20
+    assert parallel.output == serial.output
+    for max_steps in (19, 3):
+        limits = EvaluatorLimits(max_steps=max_steps)
+        with pytest.raises(NonTerminationError):
+            Evaluator(program, limits=limits).run(instance.copy())
+        evaluator = Evaluator(program, parallel=2, limits=limits)
+        try:
+            # Twice on one pool: a failed batch leaves no stale replies.
+            for _ in range(2):
+                with pytest.raises(NonTerminationError):
+                    evaluator.run(instance.copy())
+        finally:
+            evaluator.close()
 
 
 def test_iql801_program_falls_back_serial_with_warning():
@@ -451,7 +542,7 @@ def test_iql801_program_falls_back_serial_with_warning():
         instance.add_class_member("C", Oid(f"o{i}"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Evaluator(program, parallel=4).run(instance.copy())
+        result = run_parallel(program, instance)
     assert any(
         issubclass(w.category, PreflightWarning) and "IQL801" in str(w.message)
         for w in caught
@@ -480,7 +571,7 @@ def test_iql802_invention_program_falls_back_serial_with_warning():
         instance.add_relation_member("E", OTuple(A01=f"a{i}", A02=f"b{i}"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = Evaluator(program, parallel=4).run(instance.copy())
+        result = run_parallel(program, instance)
     assert any(
         issubclass(w.category, PreflightWarning) and "IQL802" in str(w.message)
         for w in caught
@@ -499,8 +590,10 @@ def test_parallel_one_is_plain_scheduling():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 10)
-    result = Evaluator(program, parallel=1).run(instance.copy())
+    evaluator = Evaluator(program, parallel=1)
+    result = evaluator.run(instance.copy())
     assert result.stats.parallel_workers == 0
+    assert evaluator._driver is None
     serial = Evaluator(program).run(instance.copy())
     assert result.output == serial.output
 
@@ -509,6 +602,7 @@ def test_parallel_implies_schedule():
     evaluator = Evaluator(tc_program(), parallel=2)
     assert evaluator._schedule is not None
     assert evaluator._parallel_certificate is not None
+    assert evaluator._driver is None  # the pool starts with the first run
 
 
 def test_trace_disables_parallel():
@@ -522,30 +616,15 @@ def test_trace_disables_parallel():
     assert evaluator._parallel_certificate is None
 
 
-# -- the process backend -------------------------------------------------------------
-#
-# Shared-nothing workers: the same certificate, a different driver. What
-# the thread tests establish for barrier discipline, these establish for
-# the serialization channel — worker facts must re-canonicalize into the
-# coordinator's store with identity intact, on every diff shape the
-# hazard-free fragment admits (relation members, class members, set
-# elements).
-
-
 def test_process_partitioned_rounds_match_serial_exactly():
     schema = tc_schema()
     program = tc_program(schema)
     instance = chain_instance(schema, 300)
-    evaluator = Evaluator(program, parallel=2, backend="process")
-    try:
-        parallel = evaluator.run(instance.copy())
-    finally:
-        evaluator.close()
+    parallel = run_parallel(program, instance)
     serial = Evaluator(program).run(instance.copy())
     assert parallel.output == serial.output
-    assert parallel.stats.parallel_backend == "process"
     assert parallel.stats.parallel_partitioned == 1
-    # 300-long chains push delta rounds past the process threshold, so
+    # 300-long chains push delta rounds past the default threshold, so
     # workers really drove rounds (not the inline fallback).
     assert parallel.stats.parallel_tasks > 0
 
@@ -555,7 +634,7 @@ def test_process_pool_persists_across_runs():
     program = tc_program(schema)
     instance = chain_instance(schema, 40)
     serial = Evaluator(program).run(instance.copy())
-    evaluator = Evaluator(program, parallel=2, backend="process")
+    evaluator = Evaluator(program, parallel=2)
     try:
         first = evaluator.run(instance.copy())
         pool = evaluator._driver
@@ -612,11 +691,7 @@ def test_process_concurrent_strata_ship_oids_by_identity():
         instance.assign(oid, OTuple(a=i))
         instance.add_relation_member("R1", OTuple(A01=oid))
     serial = Evaluator(program).run(instance.copy())
-    evaluator = Evaluator(program, parallel=2, backend="process")
-    try:
-        parallel = evaluator.run(instance.copy())
-    finally:
-        evaluator.close()
+    parallel = run_parallel(program, instance)
     assert parallel.output == serial.output
     assert parallel.stats.parallel_strata >= 2
     # Identity, not isomorphism: the oids inside the derived facts ARE
@@ -625,33 +700,21 @@ def test_process_concurrent_strata_ship_oids_by_identity():
     assert all(any(o is oid for oid in oids) for o in derived_oids)
 
 
-def test_process_certificate_records_backend_and_audits_serialization():
-    program = tc_program()
-    certificate = build_parallel_certificate(program, backend="process")
-    assert certificate.backend == "process"
-    assert certificate.certified
-    surfaces = [check.surface for check in certificate.audit]
-    assert "values pickling re-interns" in surfaces
-    assert "schema.Instance pickled state" in surfaces
-    assert "iql.Rule pickled state" in surfaces
-    assert "parexec process worker entry" in surfaces
-    assert certificate.to_json()["backend"] == "process"
-    assert check_parallel_certificate(program, certificate) == []
-    # The thread certificate does not carry (or need) those checks.
-    thread = build_parallel_certificate(program)
-    assert thread.backend == "thread"
-    assert "values pickling re-interns" not in [c.surface for c in thread.audit]
-    assert "backend process" in render_parallel_text(certificate)
-
-
-def test_certificate_with_unknown_backend_is_rejected():
-    import dataclasses
-
+def test_certificate_audits_the_serialization_surfaces():
     program = tc_program()
     certificate = build_parallel_certificate(program)
-    forged = dataclasses.replace(certificate, backend="gpu")
-    violations = check_parallel_certificate(program, forged)
-    assert violations and "unknown backend" in violations[0]
+    assert certificate.certified
+    surfaces = [check.surface for check in certificate.audit]
+    assert surfaces == [
+        "compile.CompiledBody.valid_for",
+        "compile.compile_seminaive",
+        "values pickling re-interns",
+        "schema.Instance pickled state",
+        "iql.Rule pickled state",
+        "parexec process worker entry",
+    ]
+    assert check_parallel_certificate(program, certificate) == []
+    assert "values pickling re-interns" in render_parallel_text(certificate)
 
 
 def test_parallel_auto_resolves_to_cpus_clamped_by_width():
@@ -670,13 +733,21 @@ def test_parallel_auto_resolves_to_cpus_clamped_by_width():
     schema = tc_schema()
     instance = chain_instance(schema, 12)
     serial = Evaluator(tc_program(schema)).run(instance.copy())
-    assert evaluator.run(instance.copy()).output == serial.output
+    try:
+        assert evaluator.run(instance.copy()).output == serial.output
+    finally:
+        evaluator.close()
 
 
-def test_unknown_backend_raises():
-    from repro.errors import EvaluationError
-
-    with pytest.raises(EvaluationError):
-        Evaluator(tc_program(), parallel=2, backend="gpu")
+def test_unknown_parallel_setting_raises():
     with pytest.raises(EvaluationError):
         Evaluator(tc_program(), parallel="some")
+
+
+def test_evaluator_options():
+    import inspect
+
+    options = list(inspect.signature(Evaluator.__init__).parameters)[2:]
+    assert options == [
+        "oid_factory", "limits", "choose_mode", "seed", "preflight", "parallel",
+    ]
