@@ -430,7 +430,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
 
     def parse_value(symbol: str, text: str):
         doc = json.loads(text)
-        names = {name: oid for oid, name in _oid_names(mp.instance).items()}
+        names = {name: oid for oid, name in _oid_names(mp.instance.objects()).items()}
         if schema.is_class(symbol) and isinstance(doc, str):
             return names.get(doc, Oid(doc))
         if isinstance(doc, dict) and set(doc) not in ({"oid"}, {"tuple"}, {"set"}):
@@ -438,7 +438,7 @@ def cmd_maintain(args: argparse.Namespace) -> int:
         return value_from_json(doc, names)
 
     def show_extent(symbol: str) -> None:
-        names = _oid_names(mp.instance)
+        names = _oid_names(mp.instance.objects())
         try:
             extent = mp.extent(symbol)
         except ReproError as exc:

@@ -20,6 +20,17 @@ syntax of :mod:`repro.parser`), the class extents, ν, and the relations::
       "nu": {"o1": ... o-value ...}
     }
 
+The document is canonical: relations, classes and ν keys in name order,
+relation members and set elements in :func:`~repro.values.ovalues.sort_key`
+order, class extents in wire-name order, ν in oid creation order.
+:func:`dumps` writes it straight from the interned o-values, and its
+text is byte-for-byte ``json.dumps(doc, indent=2, ensure_ascii=False)``
+of the dict tree that :func:`value_to_json` builds value by value (the
+tests keep that dict tree as the oracle). It does not build the tree:
+with an ``indent``, :mod:`json` cannot use its C encoder and walks the
+tree in Python, which cost more than the tree itself. Values deeper than
+:data:`MAX_DEPTH` are refused with an :class:`~repro.errors.OValueError`.
+
 Round-trip: ``loads(dumps(instance))`` is equal to the instance up to
 renaming of oids (fresh :class:`~repro.values.Oid` objects are minted on
 load — oid identity is process-local, exactly as the model prescribes).
@@ -28,6 +39,7 @@ load — oid identity is process-local, exactly as the model prescribes).
 from __future__ import annotations
 
 import json
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import OValueError, SchemaError
@@ -36,6 +48,7 @@ from repro.schema.instance import Instance
 from repro.schema.schema import Schema
 from repro.typesys.expressions import TypeExpr
 from repro.values.ovalues import (
+    CONSTANT_TYPES,
     Oid,
     OSet,
     OTuple,
@@ -44,7 +57,10 @@ from repro.values.ovalues import (
     _OID_REGISTRY,
     _OID_REGISTRY_LOCK,
     is_constant,
+    oids_of,
     sort_key,
+    sorted_elements,
+    value_depth,
 )
 
 
@@ -55,6 +71,7 @@ def _render_type(t: TypeExpr) -> str:
 
 
 def value_to_json(value: OValue, oid_names: Dict[Oid, str]):
+    """One o-value as a JSON-ready dict tree (``repro maintain`` queries)."""
     if isinstance(value, Oid):
         return {"oid": oid_names[value]}
     if isinstance(value, OTuple):
@@ -84,49 +101,231 @@ def value_from_json(doc, oids: Dict[str, Oid]) -> OValue:
     raise OValueError(f"unrecognized value document: {doc!r}")
 
 
-def _oid_names(instance: Instance) -> Dict[Oid, str]:
-    """Stable unique wire names: the display name when unique, else
-    name#serial."""
+def _oid_names(objects: Iterable[Oid]) -> Dict[Oid, str]:
+    """Stable unique wire names for ``objects``: the display name when
+    unique, else name#serial."""
+    ordered = sorted(objects, key=attrgetter("serial"))
     by_name: Dict[str, int] = {}
-    for oid in sorted(instance.objects(), key=lambda o: o.serial):
+    for oid in ordered:
         by_name[oid.name or "o"] = by_name.get(oid.name or "o", 0) + 1
     names: Dict[Oid, str] = {}
-    for oid in sorted(instance.objects(), key=lambda o: o.serial):
+    for oid in ordered:
         base = oid.name or "o"
-        if by_name[base] == 1:
-            names[oid] = base
-        else:
-            names[oid] = f"{base}#{oid.serial}"
+        names[oid] = base if by_name[base] == 1 else f"{base}#{oid.serial}"
     return names
 
 
-def instance_to_dict(instance: Instance) -> dict:
-    oid_names = _oid_names(instance)
-    return {
-        "schema": {
-            "relations": {
-                name: _render_type(t) for name, t in sorted(instance.schema.relations.items())
-            },
-            "classes": {
-                name: _render_type(t) for name, t in sorted(instance.schema.classes.items())
-            },
-        },
-        "relations": {
-            name: [
-                value_to_json(v, oid_names)
-                for v in sorted(members, key=sort_key)
-            ]
-            for name, members in sorted(instance.relations.items())
-        },
-        "classes": {
-            name: sorted(oid_names[o] for o in oids)
-            for name, oids in sorted(instance.classes.items())
-        },
-        "nu": {
-            oid_names[o]: value_to_json(v, oid_names)
-            for o, v in sorted(instance.nu.items(), key=lambda kv: kv[0].serial)
-        },
-    }
+#: The deepest o-value :func:`dumps` writes. The writer, :func:`sort_key`
+#: and the comparisons that order sets recurse once or a few times per
+#: level; a deeper value is refused with an :class:`OValueError` before
+#: any of them runs. Well-typed values are no deeper than their type.
+MAX_DEPTH = 200
+
+_encode_str = json.encoder.encode_basestring
+_INFINITY = float("inf")
+
+
+def _type_texts(types: Mapping[str, TypeExpr]) -> List[Tuple[str, str]]:
+    return [(name, _encode_str(_render_type(t))) for name, t in sorted(types.items())]
+
+
+def _number_text(value) -> str:
+    """An int, float or bool exactly as :mod:`json` writes it."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def dumps(instance: Instance) -> str:
+    """Serialize an instance (schema included) to its JSON document: the
+    2-space-indented canonical text described in the module docstring,
+    emitted straight from the o-values. Raises :class:`OValueError` for a
+    value deeper than :data:`MAX_DEPTH`."""
+    # nl[k] starts a line at indentation level k. Relation members open at
+    # level 3 and ν values at level 2; each o-value level nests two JSON
+    # levels ({"tuple": {...}} and {"set": [...]}).
+    nl = ["\n" + "  " * k for k in range(8)]
+    texts: Dict[str, str] = {}  # string constant -> its JSON text
+    keys: Dict[str, str] = {}  # member name -> '"name": '
+    out: List[str] = []
+    append = out.append
+
+    def constant(value) -> str:
+        if isinstance(value, str):
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = _encode_str(value)
+            return text
+        return _number_text(value)
+
+    def key(name: str) -> str:
+        text = keys.get(name)
+        if text is None:
+            text = keys[name] = _encode_str(name) + ": "
+        return text
+
+    # -- pass 1: render flat facts, collect objects(I), measure the rest --
+    #
+    # A tuple whose fields are all constants (every fact of a relation
+    # over D) holds no oid and has depth 1, so its text is final at once.
+    # Its sort key is its sort_key flattened to (attr, kind, constant, ...):
+    # the same lexicographic comparisons without the nesting, valid while
+    # every member of the relation is such a tuple.
+    flat_open = "{" + nl[4] + '"tuple": {' + nl[5]
+    flat_separator = "," + nl[5]
+    flat_close = nl[4] + "}" + nl[3] + "}"
+    objects: set = set()
+    for members in instance.classes.values():
+        objects.update(members)
+    nested: List[OValue] = list(instance.nu.values())
+    # (name, (members, rendered)): the members' final texts in order, or
+    # the members themselves, to be ordered once their depth is checked.
+    relations: List[Tuple[str, Tuple[list, bool]]] = []
+    for name, members in sorted(instance.relations.items()):
+        rows: list = []
+        for value in members:
+            if isinstance(value, OTuple) and value._fields:
+                sortable: list = []
+                rendered: List[str] = []
+                for attr, field in value._fields:
+                    if isinstance(field, str):
+                        sortable += (attr, "str", field)
+                    elif isinstance(field, (int, float)):
+                        sortable += (attr, "num", field)
+                    else:
+                        break
+                    rendered.append(key(attr) + constant(field))
+                else:
+                    rows.append(
+                        (
+                            tuple(sortable),
+                            flat_open + flat_separator.join(rendered) + flat_close,
+                        )
+                    )
+                    continue
+            rows = []
+            break
+        if len(rows) == len(members):
+            rows.sort(key=itemgetter(0))
+            relations.append((name, ([text for _, text in rows], True)))
+        else:
+            nested.extend(members)
+            relations.append((name, (list(members), False)))
+    deepest = 1
+    for value in nested:
+        if isinstance(value, Oid):
+            objects.add(value)
+        elif isinstance(value, (OTuple, OSet)):
+            depth = value_depth(value)
+            if depth > MAX_DEPTH:
+                raise OValueError(
+                    f"cannot write a value of depth {depth}: "
+                    f"repro.io.MAX_DEPTH is {MAX_DEPTH}"
+                )
+            deepest = max(deepest, depth)
+            objects |= oids_of(value)
+    for _, (members, rendered) in relations:
+        if not rendered:
+            members.sort(key=sort_key)
+    nl.extend("\n" + "  " * k for k in range(len(nl), 2 * deepest + 6))
+    names = _oid_names(objects)
+    oid_texts = {oid: _encode_str(name) for oid, name in names.items()}
+
+    # -- pass 2: the document --
+
+    def ovalue(value, level: int) -> None:
+        if isinstance(value, OTuple):
+            fields = value._fields
+            if not fields:
+                append("{" + nl[level + 1] + '"tuple": {}' + nl[level] + "}")
+                return
+            append("{" + nl[level + 1] + '"tuple": {')
+            inner = nl[level + 2]
+            separator = inner
+            for attr, field in fields:
+                append(separator)
+                append(key(attr))
+                if isinstance(field, CONSTANT_TYPES):
+                    append(constant(field))
+                else:
+                    ovalue(field, level + 2)
+                separator = "," + inner
+            append(nl[level + 1] + "}" + nl[level] + "}")
+        elif isinstance(value, OSet):
+            if not value._elements:
+                append("{" + nl[level + 1] + '"set": []' + nl[level] + "}")
+                return
+            append("{" + nl[level + 1] + '"set": [')
+            inner = nl[level + 2]
+            separator = inner
+            for element in sorted_elements(value):
+                append(separator)
+                if isinstance(element, CONSTANT_TYPES):
+                    append(constant(element))
+                else:
+                    ovalue(element, level + 2)
+                separator = "," + inner
+            append(nl[level + 1] + "]" + nl[level] + "}")
+        elif isinstance(value, Oid):
+            append("{" + nl[level + 1] + '"oid": ' + oid_texts[value] + nl[level] + "}")
+        elif is_constant(value):
+            append(constant(value))
+        else:
+            raise OValueError(f"not an o-value: {value!r}")
+
+    def text(value: str, level: int) -> None:
+        append(value)
+
+    def obj(items, level: int, write) -> None:
+        """A JSON object of ``(name, value)`` pairs opened at ``level``;
+        ``write(value, level + 1)`` writes each value."""
+        separator = "{" + nl[level + 1]
+        for name, value in items:
+            append(separator)
+            append(key(name))
+            write(value, level + 1)
+            separator = "," + nl[level + 1]
+        append("{}" if separator[0] == "{" else nl[level] + "}")
+
+    def array(values, level: int, write) -> None:
+        separator = "[" + nl[level + 1]
+        for value in values:
+            append(separator)
+            write(value, level + 1)
+            separator = "," + nl[level + 1]
+        append("[]" if separator[0] == "[" else nl[level] + "]")
+
+    def relation(entry, level: int) -> None:
+        members, rendered = entry
+        array(members, level, text if rendered else ovalue)
+
+    def extent(oids, level: int) -> None:
+        array([oid_texts[o] for o in sorted(oids, key=names.__getitem__)], level, text)
+
+    schema = instance.schema
+    append('{\n  "schema": {\n    "relations": ')
+    obj(_type_texts(schema.relations), 2, text)
+    append(',\n    "classes": ')
+    obj(_type_texts(schema.classes), 2, text)
+    append('\n  },\n  "relations": ')
+    obj(relations, 1, relation)
+    append(',\n  "classes": ')
+    obj(sorted(instance.classes.items()), 1, extent)
+    append(',\n  "nu": ')
+    nu = sorted(instance.nu.items(), key=lambda kv: kv[0].serial)
+    obj(((names[o], v) for o, v in nu), 1, ovalue)
+    append("\n}")
+    return "".join(out)
 
 
 def schema_from_dict(doc: dict) -> Schema:
@@ -162,11 +361,6 @@ def instance_from_dict(doc: dict, schema: Optional[Schema] = None) -> Instance:
         for value_doc in values:
             instance.add_relation_member(relation, value_from_json(value_doc, oids))
     return instance
-
-
-def dumps(instance: Instance, indent: int = 2) -> str:
-    """Serialize an instance (schema included) to a JSON string."""
-    return json.dumps(instance_to_dict(instance), indent=indent, ensure_ascii=False)
 
 
 def loads(text: str, schema: Optional[Schema] = None) -> Instance:
@@ -276,9 +470,9 @@ def batch_from_wire(wire: WireBatch) -> Dict[str, List[OValue]]:
     }
 
 
-def dump(instance: Instance, path: str, indent: int = 2) -> None:
+def dump(instance: Instance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(instance, indent))
+        handle.write(dumps(instance))
 
 
 def load(path: str, schema: Optional[Schema] = None) -> Instance:

@@ -44,12 +44,15 @@ The driver runs two kinds of work:
   the merge order-insensitive.
 
 Rounds below :data:`PROCESS_PARTITION_THRESHOLD` run inline on the
-coordinator — serialization overhead would dominate — and their deltas
-are buffered until the next driven round, so small rounds cost no round
-trips at all. The adaptive replanner's mid-fixpoint drift check is
-disabled in partitioned rounds (kernels are compiled once per stratum);
-the round-0 full solve also runs on the coordinator, so partitioning
-pays off exactly where recursion does: in the delta rounds.
+coordinator — serialization overhead would dominate. The workers join a
+stratum at its first round that reaches the threshold, when the instance
+is shipped to them; a stratum whose rounds all stay small never ships
+or encodes anything. After that, the deltas of small rounds are buffered
+until the next driven round, so they cost no round trips at all. The
+adaptive replanner's mid-fixpoint drift check is disabled in partitioned
+rounds (kernels are compiled once per stratum); the round-0 full solve
+also runs on the coordinator, so partitioning pays off exactly where
+recursion does: in the delta rounds.
 """
 
 from __future__ import annotations
@@ -296,6 +299,16 @@ def _solve_stratum_with_diff(evaluator, instance: Instance, rules: List[Rule], s
     return _batch_facts_to_wire(relation_adds, class_adds, element_adds), steps
 
 
+def _delta_to_wire(delta: Dict[str, Set[OValue]]):
+    """A round's delta in the wire encoding, each relation in
+    :func:`_stable_key` order so every worker takes the same shares."""
+    from repro import io  # noqa: PLC0415
+
+    return io.batch_to_wire(
+        {name: sorted(values, key=_stable_key) for name, values in delta.items() if values}
+    )
+
+
 def _stable_key(value: OValue):
     from repro.values.ovalues import sort_key  # noqa: PLC0415
 
@@ -415,7 +428,8 @@ class ProcessDriver:
 
     Workers are persistent (one pool per Evaluator, reused across runs):
     the program and evaluator limits cross once at pool creation, each
-    parallel episode ships the instance state to the workers it engages,
+    parallel episode ships the instance state to the workers it engages
+    (a partitioned stratum only at its first round big enough to split),
     and per round only fact deltas cross, in the :mod:`repro.io` wire
     encoding. Deltas from rounds too small to split are buffered and
     piggy-backed on the next driven round, so small rounds cost zero
@@ -565,14 +579,11 @@ class ProcessDriver:
         rule_indexes = self._rule_indexes(
             evaluator.program.stages[stage_index], rules
         )
-        engaged = list(range(self.workers))
-        self._ship_state(instance, engaged)
-        for worker in engaged:
-            self._send(worker, ("begin", stage_index, rule_indexes))
-        try:
-            self._gather(engaged)
-        except EvaluationError:  # pragma: no cover - the same compile succeeded above
-            return None
+        # The workers join at the first round big enough to split: rounds
+        # before it run inline and ship nothing, and the state shipped at
+        # that point already holds every delta applied so far. None: not
+        # asked yet; []: the workers could not join, every round is inline.
+        engaged: Optional[List[int]] = None
 
         rounds = 0
         first = True
@@ -602,12 +613,13 @@ class ProcessDriver:
                     compiled_rule.full.execute((), consume)
                 first = False
             else:
-                delta_lists = {
-                    name: sorted(values, key=_stable_key)
-                    for name, values in delta.items()
-                }
-                total = sum(len(values) for values in delta_lists.values())
-                if total >= PROCESS_PARTITION_THRESHOLD:
+                split = sum(len(values) for values in delta.values()) >= (
+                    PROCESS_PARTITION_THRESHOLD
+                )
+                if split and engaged is None:
+                    engaged = self._begin(instance, stage_index, rule_indexes)
+                    pending = [_delta_to_wire(delta)] if engaged else []
+                if split and engaged:
                     for worker in engaged:
                         self._send(worker, ("round", pending))
                     pending = []
@@ -622,7 +634,13 @@ class ProcessDriver:
                                     bucket.add(value)
                 else:
                     local, considered = drive_share(
-                        rules, shapes, kernels, instance, 0, 1, delta_lists
+                        rules,
+                        shapes,
+                        kernels,
+                        instance,
+                        0,
+                        1,
+                        {name: list(values) for name, values in delta.items()},
                     )
                     stats.valuations_considered += considered
                     new.update(local)
@@ -636,15 +654,24 @@ class ProcessDriver:
                     if instance.add_relation_member(name, value):
                         stats.facts_added += 1
             delta = new
-            pending.append(
-                io.batch_to_wire(
-                    {
-                        name: sorted(values, key=_stable_key)
-                        for name, values in delta.items()
-                        if values
-                    }
-                )
-            )
+            if engaged:
+                pending.append(_delta_to_wire(delta))
+
+    def _begin(
+        self, instance: Instance, stage_index: int, rule_indexes: Tuple[int, ...]
+    ) -> List[int]:
+        """Ship the instance to every worker and start a partitioned
+        episode; the engaged workers, or none if a worker cannot compile
+        the stratum (the rounds then stay inline)."""
+        engaged = list(range(self.workers))
+        self._ship_state(instance, engaged)
+        for worker in engaged:
+            self._send(worker, ("begin", stage_index, rule_indexes))
+        try:
+            self._gather(engaged)
+        except EvaluationError:  # pragma: no cover - the same compile succeeded here
+            return []
+        return engaged
 
     def close(self) -> None:
         """Stop the workers; safe to call repeatedly."""

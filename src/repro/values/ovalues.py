@@ -636,20 +636,30 @@ def branching_factor(value: OValue) -> int:
 def value_depth(value: OValue) -> int:
     """The depth of the finite tree representing ``value`` (leaves = 0).
 
-    Cached per interned node.
+    Cached per interned node. Uncached nodes are measured bottom-up on an
+    explicit stack, so a value of any depth is measured without
+    recursion: the depth is what callers check before they recurse.
     """
-    if isinstance(value, (OTuple, OSet)):
-        try:
-            return value._depth
-        except AttributeError:
-            if isinstance(value, OTuple):
-                children = [v for _, v in value._fields]
-            else:
-                children = list(value._elements)
-            cached = 1 + max((value_depth(v) for v in children), default=0)
-            value._depth = cached
-            return cached
-    return 0
+    if not isinstance(value, (OTuple, OSet)):
+        return 0
+    try:
+        return value._depth
+    except AttributeError:
+        pass
+    stack = [value]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, OTuple):
+            children = [v for _, v in node._fields if isinstance(v, (OTuple, OSet))]
+        else:
+            children = [v for v in node._elements if isinstance(v, (OTuple, OSet))]
+        pending = [v for v in children if not hasattr(v, "_depth")]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        node._depth = 1 + max((v._depth for v in children), default=0)
+    return value._depth
 
 
 def value_size(value: OValue) -> int:
@@ -695,9 +705,20 @@ def sort_key(value: OValue):
         try:
             return value._sortkey
         except AttributeError:
-            cached = (2, tuple((attr, sort_key(v)) for attr, v in value._fields))
-            value._sortkey = cached
-            return cached
+            pass
+        # Constant fields are keyed inline: a flat tuple (every fact of a
+        # relation over D) is keyed without a call per field.
+        fields = []
+        for attr, v in value._fields:
+            if isinstance(v, str):
+                fields.append((attr, (0, "str", v)))
+            elif isinstance(v, (int, float)):
+                fields.append((attr, (0, "num", v)))
+            else:
+                fields.append((attr, sort_key(v)))
+        cached = (2, tuple(fields))
+        value._sortkey = cached
+        return cached
     if isinstance(value, OSet):
         try:
             return value._sortkey

@@ -430,6 +430,68 @@ def test_small_deltas_stay_inline():
     assert result.output == serial.output
 
 
+def count_wire_traffic(monkeypatch):
+    """Count the coordinator's wire encodings and state shipments."""
+    from repro import io
+
+    counts = {"batch_to_wire": 0, "ship_state": 0}
+    encode, ship = io.batch_to_wire, parexec.ProcessDriver._ship_state
+
+    def counting_encode(facts):
+        counts["batch_to_wire"] += 1
+        return encode(facts)
+
+    def counting_ship(self, instance, workers):
+        counts["ship_state"] += 1
+        return ship(self, instance, workers)
+
+    monkeypatch.setattr(io, "batch_to_wire", counting_encode)
+    monkeypatch.setattr(parexec.ProcessDriver, "_ship_state", counting_ship)
+    return counts
+
+
+def test_inline_rounds_encode_and_ship_nothing(monkeypatch):
+    # Every delta of a 40-node chain stays below the threshold: the
+    # workers are never engaged, so no delta is encoded and no state sent.
+    counts = count_wire_traffic(monkeypatch)
+    schema = tc_schema()
+    program = tc_program(schema)
+    instance = chain_instance(schema, 40)
+    result = run_parallel(program, instance)
+    assert result.stats.parallel_partitioned == 1
+    assert result.stats.parallel_tasks == 0
+    assert counts == {"batch_to_wire": 0, "ship_state": 0}
+    assert result.output == Evaluator(program).run(instance.copy()).output
+
+
+def grid_instance(schema, side):
+    """A side x side grid DAG (right and down edges): the number of new
+    closure pairs grows from round to round for the first rounds."""
+    instance = Instance(schema.project(["E"]))
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                instance.add_relation_member("E", OTuple(A01=f"{r}.{c}", A02=f"{r}.{c + 1}"))
+            if r + 1 < side:
+                instance.add_relation_member("E", OTuple(A01=f"{r}.{c}", A02=f"{r + 1}.{c}"))
+    return instance
+
+
+def test_workers_join_at_the_first_round_big_enough(monkeypatch):
+    # On an 8x8 grid the first deltas hold 112 and then 145 pairs: with the
+    # threshold at 120, round 1 runs inline and the workers join at round
+    # 2, from a shipped state that already holds round 1's facts.
+    monkeypatch.setattr(parexec, "PROCESS_PARTITION_THRESHOLD", 120)
+    counts = count_wire_traffic(monkeypatch)
+    schema = tc_schema()
+    program = tc_program(schema)
+    instance = grid_instance(schema, 8)
+    result = run_parallel(program, instance)
+    assert result.stats.parallel_tasks > 0
+    assert counts["ship_state"] == 1
+    assert result.output == Evaluator(program).run(instance.copy()).output
+
+
 def test_concurrent_strata_run_on_workers():
     schema = Schema(
         relations={"E": columns(D, D), "T": columns(D, D), "U": columns(D)},
